@@ -247,6 +247,33 @@ fn parse_traffic(name: &str) -> Result<TrafficPattern, CliError> {
     }
 }
 
+/// An offered load from `--{flag}`, rejected unless it is a finite
+/// fraction of link capacity in `[0, 1]`.
+fn checked_load(flag: &str, load: f64) -> Result<f64, CliError> {
+    if (0.0..=1.0).contains(&load) {
+        Ok(load)
+    } else {
+        Err(CliError::Usage(format!(
+            "--{flag}: offered load must be in [0, 1], got `{load}`"
+        )))
+    }
+}
+
+/// The simulation flags shared by `simulate` and `sweep`, over the
+/// paper's defaults. Zero measured cycles is rejected: there would be
+/// nothing to measure.
+fn sim_config(parsed: &Parsed) -> Result<SimConfig, CliError> {
+    let mut config = SimConfig::paper_defaults();
+    config.measure_cycles = parsed.num("cycles", config.measure_cycles)?;
+    if config.measure_cycles == 0 {
+        return Err(CliError::Usage("--cycles: must be at least 1".into()));
+    }
+    config.warmup_cycles = parsed.num("warmup", config.warmup_cycles)?;
+    config.router_latency = parsed.num("router-latency", config.router_latency)?;
+    config.valiant_routing = parsed.str("valiant", "off") == "on";
+    Ok(config)
+}
+
 /// `rfcgen simulate`: one simulator run on the topology.
 ///
 /// # Errors
@@ -254,13 +281,9 @@ fn parse_traffic(name: &str) -> Result<TrafficPattern, CliError> {
 /// [`CliError`] on build, routing or output failure.
 pub fn simulate(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let pattern = parse_traffic(&parsed.str("traffic", "uniform"))?;
-    let load: f64 = parsed.num("load", 0.5)?;
+    let load = checked_load("load", parsed.num("load", 0.5)?)?;
     let seed: u64 = parsed.num("seed", 2017)?;
-    let mut config = SimConfig::paper_defaults();
-    config.measure_cycles = parsed.num("cycles", config.measure_cycles)?;
-    config.warmup_cycles = parsed.num("warmup", config.warmup_cycles)?;
-    config.router_latency = parsed.num("router-latency", config.router_latency)?;
-    config.valiant_routing = parsed.str("valiant", "off") == "on";
+    let config = sim_config(parsed)?;
 
     let clos = require_clos(build(parsed)?, "simulate")?;
     let routing = UpDownRouting::new(&clos);
@@ -308,9 +331,11 @@ pub fn sweep(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
         Some(raw) => raw
             .split(',')
             .map(|tok| {
-                tok.trim()
+                let load = tok
+                    .trim()
                     .parse::<f64>()
-                    .map_err(|_| CliError::Usage(format!("--loads: cannot parse `{tok}`")))
+                    .map_err(|_| CliError::Usage(format!("--loads: cannot parse `{tok}`")))?;
+                checked_load("loads", load)
             })
             .collect::<Result<_, _>>()?,
         None => (1..=10).map(|i| f64::from(i) / 10.0).collect(),
@@ -321,11 +346,7 @@ pub fn sweep(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
         ));
     }
     let seed: u64 = parsed.num("seed", 2017)?;
-    let mut config = SimConfig::paper_defaults();
-    config.measure_cycles = parsed.num("cycles", config.measure_cycles)?;
-    config.warmup_cycles = parsed.num("warmup", config.warmup_cycles)?;
-    config.router_latency = parsed.num("router-latency", config.router_latency)?;
-    config.valiant_routing = parsed.str("valiant", "off") == "on";
+    let config = sim_config(parsed)?;
 
     let clos = require_clos(build(parsed)?, "sweep")?;
     let routing = UpDownRouting::new(&clos);

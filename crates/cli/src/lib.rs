@@ -59,7 +59,7 @@ impl From<rfc_net::topology::TopologyError> for CliError {
 /// Returns [`CliError`] on bad arguments or failed operations.
 pub fn run(argv: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError> {
     let Some((command, rest)) = argv.split_first() else {
-        return Err(CliError::Usage(USAGE.trim().to_string()));
+        return Err(CliError::Usage(usage().trim().to_string()));
     };
     // `repro` has valueless switch flags; everything else is strict
     // `--key value` pairs.
@@ -84,11 +84,12 @@ pub fn run(argv: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError
         "threshold" => commands::threshold(&parsed, out),
         "repro" => commands::repro(&parsed, out),
         "help" | "--help" | "-h" => {
-            writeln!(out, "{}", USAGE.trim()).map_err(io_err)?;
+            writeln!(out, "{}", usage().trim()).map_err(io_err)?;
             Ok(())
         }
         other => Err(CliError::Usage(format!(
-            "unknown command `{other}`\n{USAGE}"
+            "unknown command `{other}`\n{}",
+            usage()
         ))),
     }
 }
@@ -97,8 +98,17 @@ pub(crate) fn io_err(e: std::io::Error) -> CliError {
     CliError::Operation(format!("write failed: {e}"))
 }
 
-/// The help text.
-pub const USAGE: &str = r#"
+/// The help text, with the experiment count read from the registry.
+#[must_use]
+pub fn usage() -> String {
+    USAGE.replace(
+        "{experiments}",
+        &rfc_net::experiments::registry::all().len().to_string(),
+    )
+}
+
+/// The help text; `{experiments}` stands for the registry size.
+const USAGE: &str = r#"
 rfcgen — random folded Clos topology toolkit
 
 USAGE:
@@ -111,7 +121,7 @@ COMMANDS:
     sweep       parallel load sweep: one simulator run per (traffic, load) point
     expand      grow an RFC incrementally and report rewiring
     threshold   Theorem 4.2 sizing for a radix/levels pair
-    repro       reproduce the paper's evaluation (registry of 14 experiments)
+    repro       reproduce the paper's evaluation (registry of {experiments} experiments)
     help        show this text
 
 COMMON FLAGS:
@@ -151,7 +161,7 @@ EXPANSION FLAGS (expand):
 
 REPRO FLAGS (repro):
     --list      enumerate the registered experiments and exit
-    --only      comma-separated experiment names    (default: all 14)
+    --only      comma-separated experiment names    (default: all {experiments})
     --force     re-run experiments whose artifacts already verify
     --scale     small | medium | paper              (default: RFC_SCALE, else medium)
     --seed      run seed                            (default: RFC_SEED, else 2017)
@@ -178,6 +188,19 @@ mod tests {
     fn help_prints_usage() {
         let text = run_capture(&["help"]).unwrap();
         assert!(text.contains("COMMANDS"));
+    }
+
+    #[test]
+    fn help_counts_the_registered_experiments() {
+        let text = run_capture(&["help"]).unwrap();
+        let listed = run_capture(&["repro", "--list"]).unwrap().lines().count() - 1;
+        assert_eq!(listed, 16);
+        assert!(
+            text.contains(&format!("registry of {listed} experiments")),
+            "{text}"
+        );
+        assert!(text.contains(&format!("(default: all {listed})")), "{text}");
+        assert!(!text.contains("{experiments}"));
     }
 
     #[test]

@@ -1,0 +1,54 @@
+//! Exit codes of the `rfcgen` binary: invalid simulation flags are
+//! usage errors (exit 2), never panics (exit 101) or silent no-op runs.
+
+use std::process::Command;
+
+/// Runs `rfcgen` on a tiny CFT with `extra` flags; returns the exit code
+/// and stderr.
+fn rfcgen(command: &str, extra: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_rfcgen"))
+        .args([command, "--kind", "cft", "--radix", "4", "--levels", "2"])
+        .args(["--cycles", "50", "--warmup", "10"])
+        .args(extra)
+        .output()
+        .expect("rfcgen runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn bad_loads_and_zero_cycles_exit_with_the_usage_code() {
+    let cases: [(&str, &[&str]); 10] = [
+        ("simulate", &["--cycles", "0"]),
+        ("simulate", &["--load", "nan"]),
+        ("simulate", &["--load", "-1"]),
+        ("simulate", &["--load", "2"]),
+        ("simulate", &["--load", "inf"]),
+        ("sweep", &["--cycles", "0"]),
+        ("sweep", &["--loads", "0.5,nan"]),
+        ("sweep", &["--loads", "-0.1"]),
+        ("sweep", &["--loads", "0.3,1.5"]),
+        ("sweep", &["--loads", "inf"]),
+    ];
+    for (command, flags) in cases {
+        let (code, stderr) = rfcgen(command, flags);
+        assert_eq!(code, Some(2), "{command} {flags:?}: {stderr}");
+        // The message names the offending flag.
+        assert!(
+            stderr.contains(&format!("usage error: {}", flags[0])),
+            "{command} {flags:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn boundary_loads_still_run() {
+    for load in ["0", "1"] {
+        let (code, stderr) = rfcgen("simulate", &["--load", load]);
+        assert_eq!(code, Some(0), "--load {load}: {stderr}");
+    }
+    let (code, stderr) = rfcgen("sweep", &["--loads", "0,1"]);
+    assert_eq!(code, Some(0), "--loads 0,1: {stderr}");
+}

@@ -33,7 +33,7 @@ use rfc_graph::vid;
 use rfc_routing::UpDownRouting;
 use rfc_topology::{FoldedClos, Link, LinkEvent, LiveClos};
 
-use crate::engine::{row_index, Candidates, PatchScope, RowInterner, RunScratch, Simulation, StepCtx};
+use crate::engine::{Candidates, PatchScope, RunScratch, Simulation, StepCtx};
 use crate::network::SimNetwork;
 use crate::shard::{drain_mailboxes, new_mailboxes, ShardState, Streams};
 use crate::{SimConfig, SimResult, TrafficPattern};
@@ -162,9 +162,6 @@ struct DynState {
     live: LiveClos,
     routing: UpDownRouting,
     candidates: Candidates,
-    /// Content → row id map of the current candidate table, renumbered
-    /// in place by every patch (see [`row_index`]).
-    index: RowInterner,
     /// Cursor into the schedule's canonical event order.
     next_event: usize,
     /// `delivered` snapshots at epoch boundaries.
@@ -173,16 +170,10 @@ struct DynState {
 
 impl DynState {
     fn new(sim: &Simulation<'_, UpDownRouting>, clos: &FoldedClos) -> Self {
-        let candidates = sim.candidates().clone();
-        let index = match &candidates {
-            Candidates::Table(table) => row_index(table),
-            Candidates::Live => RowInterner::new(),
-        };
         DynState {
             live: LiveClos::new(clos),
             routing: sim.oracle().clone(),
-            candidates,
-            index,
+            candidates: sim.candidates().clone(),
             next_event: 0,
             marks: Vec::new(),
         }
@@ -192,13 +183,7 @@ impl DynState {
     /// flips, the routing table repairs incrementally, and the
     /// candidate table patches over the repair's dirty region — all
     /// byte-identical to a from-scratch rebuild on the new topology.
-    fn apply_due(
-        &mut self,
-        net: &SimNetwork,
-        schedule: &FaultSchedule,
-        budget: usize,
-        now: u64,
-    ) {
+    fn apply_due(&mut self, net: &SimNetwork, schedule: &FaultSchedule, budget: usize, now: u64) {
         while let Some((cycle, ev)) = schedule.events.get(self.next_event) {
             if *cycle > now {
                 break;
@@ -217,7 +202,6 @@ impl DynState {
                             dst_delta: &scope.dst_delta,
                         },
                         budget,
-                        &mut self.index,
                     )
                     .map_or(Candidates::Live, Candidates::Table);
                 }
@@ -351,8 +335,9 @@ impl<'a> Simulation<'a, UpDownRouting> {
                 ds.marks.push(st.delivered);
                 vec![ds.marks]
             } else {
-                let dyn_states: Vec<DynState> =
-                    (0..shard_count).map(|_| DynState::new(self, clos)).collect();
+                let dyn_states: Vec<DynState> = (0..shard_count)
+                    .map(|_| DynState::new(self, clos))
+                    .collect();
                 let mut workers: Vec<(&mut ShardState, DynState)> =
                     shard_states.iter_mut().zip(dyn_states).collect();
                 let mailboxes = new_mailboxes(shard_count * shard_count);
@@ -416,8 +401,7 @@ impl<'a> Simulation<'a, UpDownRouting> {
             prev_total = total;
         }
 
-        let (availability, events_applied) =
-            availability_scan(clos, self.oracle(), schedule, end);
+        let (availability, events_applied) = availability_scan(clos, self.oracle(), schedule, end);
         ChurnResult {
             result,
             epoch_accepted,
@@ -460,7 +444,12 @@ impl RepairBenchmark {
 /// byte-identical state (asserted in the sim test-suite); this function
 /// only measures.
 #[must_use]
-pub fn repair_speedup(clos: &FoldedClos, cfg: SimConfig, trials: usize, seed: u64) -> RepairBenchmark {
+pub fn repair_speedup(
+    clos: &FoldedClos,
+    cfg: SimConfig,
+    trials: usize,
+    seed: u64,
+) -> RepairBenchmark {
     let net = SimNetwork::from_folded_clos(clos);
     let routing = UpDownRouting::new(clos);
     let sim = Simulation::new(&net, &routing, cfg);
@@ -472,13 +461,6 @@ pub fn repair_speedup(clos: &FoldedClos, cfg: SimConfig, trials: usize, seed: u6
     let trials = trials.min(links.len());
 
     let mut live = LiveClos::new(clos);
-    // A long-lived churn loop carries the row index across events (see
-    // `DynState`), so restoring the pristine copy between trials is
-    // bookkeeping, not repair work — it stays outside the timed region.
-    let pristine_index = match sim.candidates() {
-        Candidates::Table(table) => Some(row_index(table)),
-        Candidates::Live => None,
-    };
     let mut incremental = Duration::ZERO;
     let mut full_rebuild = Duration::ZERO;
     let mut events = 0usize;
@@ -490,15 +472,14 @@ pub fn repair_speedup(clos: &FoldedClos, cfg: SimConfig, trials: usize, seed: u6
         // revert (the revert is also incremental, so it counts too —
         // a churn cycle pays both directions).
         let mut repaired = routing.clone();
-        let mut index = pristine_index.clone();
         // xtask: allow(wall-clock) — this function *is* the stopwatch
         let t0 = Instant::now();
         if !live.apply(&ev) {
             continue;
         }
         let scope = repaired.apply_event(live.current(), &ev);
-        let patched = match (sim.candidates(), index.as_mut()) {
-            (Candidates::Table(old), Some(idx)) => Simulation::patch_table(
+        let patched = match sim.candidates() {
+            Candidates::Table(old) => Simulation::patch_table(
                 &net,
                 &repaired,
                 old,
@@ -508,9 +489,8 @@ pub fn repair_speedup(clos: &FoldedClos, cfg: SimConfig, trials: usize, seed: u6
                     dst_delta: &scope.dst_delta,
                 },
                 budget,
-                idx,
             ),
-            _ => None,
+            Candidates::Live => None,
         };
         incremental += t0.elapsed();
         std::hint::black_box(&patched);
@@ -555,12 +535,12 @@ mod tests {
         links.dedup();
         let mut rng = SmallRng::seed_from_u64(2017);
         let mut live = LiveClos::new(&clos);
-        let pristine_index = match sim.candidates() {
-            Candidates::Table(table) => Some(row_index(table)),
-            Candidates::Live => None,
-        };
-        let (mut t_apply, mut t_patch, mut t_routing, mut t_table) =
-            (Duration::ZERO, Duration::ZERO, Duration::ZERO, Duration::ZERO);
+        let (mut t_apply, mut t_patch, mut t_routing, mut t_table) = (
+            Duration::ZERO,
+            Duration::ZERO,
+            Duration::ZERO,
+            Duration::ZERO,
+        );
         for _ in 0..12 {
             let link = links[rng.gen_range(0..links.len())];
             let ev = LinkEvent::fail(link);
@@ -568,12 +548,11 @@ mod tests {
                 continue;
             }
             let mut repaired = routing.clone();
-            let mut index = pristine_index.clone();
             let t0 = Instant::now();
             let scope = repaired.apply_event(live.current(), &ev);
             t_apply += t0.elapsed();
             let t1 = Instant::now();
-            if let (Candidates::Table(old), Some(idx)) = (sim.candidates(), index.as_mut()) {
+            if let Candidates::Table(old) = sim.candidates() {
                 let p = Simulation::patch_table(
                     &net,
                     &repaired,
@@ -584,7 +563,6 @@ mod tests {
                         dst_delta: &scope.dst_delta,
                     },
                     budget,
-                    idx,
                 );
                 std::hint::black_box(&p);
             }
@@ -694,26 +672,34 @@ mod tests {
         // After every applied event, the patched table must equal what
         // a from-scratch Simulation::new would build over the repaired
         // oracle — the same contract the routing repair itself honors.
-        let (clos, net, routing) = setup(6, 3);
-        let cfg = churn_cfg();
-        let sim = Simulation::new(&net, &routing, cfg);
-        let schedule = FaultSchedule::poisson(&clos, 0.02, 200.0, 2_000, 9);
-        assert!(schedule.len() > 6);
-        let mut ds = DynState::new(&sim, &clos);
-        let mut checked = 0;
-        for (cycle, _) in schedule.events().iter() {
-            ds.apply_due(&net, &schedule, sim.table_budget(), *cycle);
-            let fresh = Simulation::new(&net, &ds.routing, cfg);
-            match (&ds.candidates, fresh.candidates()) {
-                (Candidates::Table(patched), Candidates::Table(built)) => {
-                    assert_eq!(patched, built, "patched table diverged at cycle {cycle}");
+        // Checked on a CFT and on a random folded Clos, whose switches
+        // hold dozens of distinct rows (the hashed local interning path)
+        // and whose faults strand destinations (the shared empty row).
+        let cft = FoldedClos::cft(6, 3).unwrap();
+        let rfc = FoldedClos::random(12, 160, 3, &mut SmallRng::seed_from_u64(7)).unwrap();
+        for (clos, rate, horizon, seed) in [(&cft, 0.02, 2_000, 9), (&rfc, 0.05, 1_000, 3)] {
+            let routing = UpDownRouting::new(clos);
+            let net = SimNetwork::from_folded_clos(clos);
+            let cfg = churn_cfg();
+            let sim = Simulation::new(&net, &routing, cfg);
+            let schedule = FaultSchedule::poisson(clos, rate, 200.0, horizon, seed);
+            assert!(schedule.len() > 6);
+            let mut ds = DynState::new(&sim, clos);
+            let mut checked = 0;
+            for (cycle, _) in schedule.events().iter() {
+                ds.apply_due(&net, &schedule, sim.table_budget(), *cycle);
+                let fresh = Simulation::new(&net, &ds.routing, cfg);
+                match (&ds.candidates, fresh.candidates()) {
+                    (Candidates::Table(patched), Candidates::Table(built)) => {
+                        assert_eq!(patched, built, "patched table diverged at cycle {cycle}");
+                    }
+                    (Candidates::Live, Candidates::Live) => {}
+                    (a, b) => panic!("candidate kinds diverged: {a:?} vs {b:?}"),
                 }
-                (Candidates::Live, Candidates::Live) => {}
-                (a, b) => panic!("candidate kinds diverged: {a:?} vs {b:?}"),
+                checked += 1;
             }
-            checked += 1;
+            assert!(checked > 6);
         }
-        assert!(checked > 6);
     }
 
     #[test]

@@ -155,10 +155,11 @@ pub(crate) enum Candidates {
 /// 1. **Rows resolve once** — a row is the out-port list one `(switch,
 ///    dst)` query yields, in oracle order (the cached-vs-live agreement
 ///    contract depends on that order).
-/// 2. **Rows intern** — identical rows share one entry in the
-///    `row_off`/`row_ports` pool. Same-level switches answer most
-///    destinations identically (e.g. "all up-ports"), so a switch
-///    contributes only a handful of distinct rows.
+/// 2. **Rows intern per switch** — a switch's identical rows share one
+///    entry in the `row_off`/`row_ports` pool, so a switch contributes
+///    one entry per *distinct* answer. Rows hold the switch's own
+///    global out-port ids, so two switches' non-empty rows never
+///    coincide: only the empty row ("unroutable") is shared pool-wide.
 /// 3. **Columns run-length-compress** — per switch, destinations with
 ///    the same row collapse into `[start, next_start)` runs, which
 ///    folded-Clos reach sets keep to a few dozen per switch regardless
@@ -194,7 +195,12 @@ impl RleTable {
         // Last run starting at or before dst; every switch's first run
         // starts at 0, so the subtraction cannot underflow.
         let k = lo + runs.partition_point(|&s| s <= dst) - 1;
-        let r = self.runs_row[k] as usize;
+        self.pool_row(self.runs_row[k] as usize)
+    }
+
+    /// Row `r` of the pool.
+    #[inline]
+    fn pool_row(&self, r: usize) -> &[u32] {
         &self.row_ports[self.row_off[r] as usize..self.row_off[r + 1] as usize]
     }
 
@@ -221,24 +227,6 @@ fn empty_table(dst_space: usize) -> RleTable {
     }
 }
 
-/// Row contents → global row id, in first-appearance order. BTreeMap
-/// keeps the layout independent of any hasher state.
-pub(crate) type RowInterner = std::collections::BTreeMap<Vec<u32>, u32>;
-
-/// The content → id index of `table`'s row pool, exactly as
-/// [`Simulation::patch_table`] consumes and maintains it. Built once
-/// per dynamic routing replica (see [`crate::churn`]); each patch then
-/// renumbers it in place instead of re-deriving it, which is what keeps
-/// a single-event patch an order of magnitude under a full build.
-pub(crate) fn row_index(table: &RleTable) -> RowInterner {
-    let mut index = RowInterner::new();
-    for r in 0..table.row_off.len() - 1 {
-        let ports = &table.row_ports[table.row_off[r] as usize..table.row_off[r + 1] as usize];
-        index.insert(ports.to_vec(), vid(r));
-    }
-    index
-}
-
 /// Dirty-region description for [`Simulation::patch_table`], distilled
 /// from a routing repair (`rfc_routing::RepairScope`).
 pub(crate) struct PatchScope<'a> {
@@ -254,6 +242,24 @@ pub(crate) struct PatchScope<'a> {
     pub dst_delta: &'a [u32],
 }
 
+/// Up to this many distinct rows a switch finds a row by linear scan;
+/// past it, through the hashed index. A CFT switch holds about R/2 + 2
+/// distinct rows, and on cft(36,4) scanning up to 16 rows builds the
+/// table faster than hashing from the 9th.
+const SCAN_ROWS: usize = 16;
+
+/// Deterministic content hash of one row (FxHash-style multiply-rotate;
+/// no hasher state, so the index probes identically on every run).
+fn row_hash(ports: &[u32]) -> usize {
+    let mut h = ports.len() as u64;
+    for &p in ports {
+        h = (h.rotate_left(5) ^ u64::from(p)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    // The multiply mixes upward; fold the high half into the low bits
+    // the slot mask keeps.
+    (h ^ (h >> 32)) as usize
+}
+
 /// One switch's runs with switch-locally interned rows.
 struct SwitchRuns {
     starts: Vec<u32>,
@@ -261,11 +267,10 @@ struct SwitchRuns {
     rows: Vec<u32>,
     local_off: Vec<u32>,
     local_ports: Vec<u32>,
-    /// Per local row: the old-table row id this content was copied from,
-    /// or `u32::MAX` when freshly derived from the oracle. Lets the
-    /// patch stitcher renumber spliced rows through its id array instead
-    /// of re-interning them by content.
-    local_old: Vec<u32>,
+    /// Open-addressed index over the local rows, built once the pool
+    /// outgrows [`SCAN_ROWS`]: a slot holds local id + 1 (0 = vacant),
+    /// and the length is a power of two at least twice the row count.
+    slots: Vec<u32>,
 }
 
 impl SwitchRuns {
@@ -275,7 +280,7 @@ impl SwitchRuns {
             rows: Vec::new(),
             local_off: vec![0u32],
             local_ports: Vec::new(),
-            local_old: Vec::new(),
+            slots: Vec::new(),
         }
     }
 
@@ -287,29 +292,80 @@ impl SwitchRuns {
         self.local_off.clear();
         self.local_off.push(0);
         self.local_ports.clear();
-        self.local_old.clear();
+        self.slots.clear();
     }
 
-    /// Appends one run, interning its row locally (linear scan —
-    /// switches hold a handful of distinct rows) and merging runs whose
-    /// rows turn out equal. `old_id` records the old-table identity of a
-    /// copied row (`u32::MAX` = derived, identity unknown).
-    fn push_run(&mut self, start: u32, resolved: &[u32], old_id: u32) {
-        let local = (0..self.local_off.len() - 1).find(|&r| {
-            self.local_ports[self.local_off[r] as usize..self.local_off[r + 1] as usize]
-                == resolved[..]
-        });
-        let local = vid(local.unwrap_or_else(|| {
-            self.local_ports.extend_from_slice(resolved);
-            self.local_off.push(vid(self.local_ports.len()));
-            self.local_old.push(old_id);
-            self.local_off.len() - 2
-        }));
-        // Old-table interning was content-unique, so a re-encounter that
-        // knows its old id can settle a previously derived row's identity.
-        if old_id != u32::MAX && self.local_old[local as usize] == u32::MAX {
-            self.local_old[local as usize] = old_id;
+    fn num_rows(&self) -> usize {
+        self.local_off.len() - 1
+    }
+
+    fn local_row(&self, r: usize) -> &[u32] {
+        &self.local_ports[self.local_off[r] as usize..self.local_off[r + 1] as usize]
+    }
+
+    /// The slot `ports` occupies in the hashed index, or the vacant slot
+    /// where it would go.
+    fn probe(&self, ports: &[u32]) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = row_hash(ports) & mask;
+        loop {
+            let s = self.slots[i];
+            if s == 0 || self.local_row(s as usize - 1) == ports {
+                return i;
+            }
+            i = (i + 1) & mask;
         }
+    }
+
+    /// (Re)builds the hashed index with a power-of-two slot count at
+    /// least twice the row count.
+    fn rehash(&mut self) {
+        let cap = (2 * self.num_rows()).next_power_of_two().max(2 * SCAN_ROWS);
+        self.slots.clear();
+        self.slots.resize(cap, 0);
+        for r in 0..self.num_rows() {
+            let i = self.probe(self.local_row(r));
+            self.slots[i] = vid(r + 1);
+        }
+    }
+
+    /// The local id of `resolved`, interning it on first sight.
+    fn intern(&mut self, resolved: &[u32]) -> u32 {
+        let n = self.num_rows();
+        if n <= SCAN_ROWS {
+            if let Some(r) = (0..n).find(|&r| self.local_row(r) == resolved) {
+                return vid(r);
+            }
+        } else {
+            let i = self.probe(resolved);
+            if self.slots[i] != 0 {
+                return self.slots[i] - 1;
+            }
+        }
+        self.local_ports.extend_from_slice(resolved);
+        self.local_off.push(vid(self.local_ports.len()));
+        if n + 1 > SCAN_ROWS {
+            if 2 * (n + 1) > self.slots.len() {
+                self.rehash();
+            } else {
+                let i = self.probe(resolved);
+                self.slots[i] = vid(n + 1);
+            }
+        }
+        vid(n)
+    }
+
+    /// Appends one run, interning its row locally and merging runs whose
+    /// rows turn out equal.
+    fn push_run(&mut self, start: u32, resolved: &[u32]) {
+        // Reach-set boundaries often split a run without changing its
+        // answer; catch that before touching the index.
+        if let Some(&last) = self.rows.last() {
+            if self.local_row(last as usize) == resolved {
+                return;
+            }
+        }
+        let local = self.intern(resolved);
         if self.rows.last() == Some(&local) {
             return;
         }
@@ -360,7 +416,7 @@ fn switch_runs_into<O: RoutingOracle + ?Sized>(
     sr.clear();
     oracle.for_each_dst_run(switch, dst32, &mut |start, hops| {
         resolve_out_ports(net, switch, hops, resolved);
-        sr.push_run(start, resolved, u32::MAX);
+        sr.push_run(start, resolved);
     });
 }
 
@@ -394,24 +450,22 @@ fn splice_runs_into<O: RoutingOracle + ?Sized>(
         } else {
             dst32
         };
-        let old_id = old.runs_row[k] as usize;
-        let content =
-            &old.row_ports[old.row_off[old_id] as usize..old.row_off[old_id + 1] as usize];
+        let content = old.pool_row(old.runs_row[k] as usize);
         let mut pos = a;
         while di < delta.len() && delta[di] < b {
             let d = delta[di];
             di += 1;
             if pos < d {
-                sr.push_run(pos, content, old.runs_row[k]);
+                sr.push_run(pos, content);
             }
             hops.clear();
             oracle.next_hops_into(switch, d, hops);
             resolve_out_ports(net, switch, hops, resolved);
-            sr.push_run(d, resolved, u32::MAX);
+            sr.push_run(d, resolved);
             pos = d + 1;
         }
         if pos < b {
-            sr.push_run(pos, content, old.runs_row[k]);
+            sr.push_run(pos, content);
         }
     }
 }
@@ -427,27 +481,29 @@ fn append_row(table: &mut RleTable, ports: &[u32]) -> Option<u32> {
     Some(id)
 }
 
-/// Maps one switch's locally interned runs into the shared pool,
-/// appending its column to `table`. Returns `None` on `u32` overflow
-/// (the caller falls back to live queries).
-fn stitch_switch(table: &mut RleTable, interner: &mut RowInterner, sr: &SwitchRuns) -> Option<()> {
-    let mut global_of_local: Vec<u32> = Vec::with_capacity(sr.local_off.len() - 1);
-    for r in 0..sr.local_off.len() - 1 {
-        let ports = &sr.local_ports[sr.local_off[r] as usize..sr.local_off[r + 1] as usize];
-        let id = match interner.get(ports) {
-            Some(&id) => id,
-            None => {
-                let id = append_row(table, ports)?;
-                interner.insert(ports.to_vec(), id);
-                id
+/// Appends one switch's locally interned rows and runs to `table`, in
+/// local first-appearance order. Non-empty rows are switch-private, so
+/// each is appended as is; the empty row is pool-wide, and `empty_row`
+/// holds its id (`u32::MAX` until first seen). Returns `None` on `u32`
+/// overflow (the caller falls back to live queries).
+fn stitch_switch(table: &mut RleTable, empty_row: &mut u32, sr: &SwitchRuns) -> Option<()> {
+    let mut global_of_local: Vec<u32> = Vec::with_capacity(sr.num_rows());
+    for r in 0..sr.num_rows() {
+        let ports = sr.local_row(r);
+        let id = if !ports.is_empty() {
+            append_row(table, ports)?
+        } else {
+            if *empty_row == u32::MAX {
+                *empty_row = append_row(table, ports)?;
             }
+            *empty_row
         };
         global_of_local.push(id);
     }
-    for (start, local) in sr.starts.iter().zip(&sr.rows) {
-        table.runs_start.push(*start);
-        table.runs_row.push(global_of_local[*local as usize]);
-    }
+    table.runs_start.extend_from_slice(&sr.starts);
+    table
+        .runs_row
+        .extend(sr.rows.iter().map(|&local| global_of_local[local as usize]));
     table
         .col_off
         .push(u32::try_from(table.runs_start.len()).ok()?);
@@ -468,6 +524,24 @@ impl rfc_graph::HeapBytes for Candidates {
 /// even the paper's Table 3 scale (cft(36,4), 209,952 terminals) around
 /// a dozen MB, so this is headroom, not a target.
 const TABLE_BUDGET: usize = 64 << 20;
+
+/// Switches in the first parallel round of a table build (see
+/// [`Simulation::build_table`]); later rounds double from here.
+const FIRST_CHUNK: usize = 16;
+
+/// Largest parallel round of a table build, bounding how many derived
+/// switches are held at once.
+const MAX_CHUNK: usize = 4096;
+
+/// Destination ids a candidate table covers: every switch up to the
+/// highest one hosting a terminal.
+fn dst_space(net: &SimNetwork) -> usize {
+    net.dst_switch_of_terminal
+        .iter()
+        .copied()
+        .max()
+        .map_or(0, |m| m as usize + 1)
+}
 
 /// The per-cycle read-only context shared by every shard worker.
 #[derive(Debug)]
@@ -519,7 +593,13 @@ impl RunScratch {
 
     /// Rebuilds the shard plan and clears/resizes every per-shard state.
     /// Retains capacity across calls.
-    pub(crate) fn reset(&mut self, net: &SimNetwork, cfg: &SimConfig, shards: usize, inj_stream: u64) {
+    pub(crate) fn reset(
+        &mut self,
+        net: &SimNetwork,
+        cfg: &SimConfig,
+        shards: usize,
+        inj_stream: u64,
+    ) {
         self.plan.build(net, shards);
         self.shard_states.truncate(shards);
         while self.shard_states.len() < shards {
@@ -577,13 +657,8 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
         budget: usize,
     ) -> Self {
         config.assert_valid();
-        let dst_space = net
-            .dst_switch_of_terminal
-            .iter()
-            .copied()
-            .max()
-            .map_or(0, |m| m as usize + 1);
-        let candidates = Self::build_table(net, oracle, dst_space, budget)
+        let candidates = Self::build_table(net, oracle, dst_space(net), budget)
+            .0
             .map_or(Candidates::Live, Candidates::Table);
         Self {
             net,
@@ -598,81 +673,88 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
     /// budget is exceeded or an index would overflow `u32` — both fall
     /// back to live oracle queries rather than wrapping silently.
     ///
-    /// Switches are processed in fixed-size chunks: each chunk fans out
-    /// over the shared worker pool (`rfc_parallel`) and is stitched
-    /// serially *in switch order*, so the arrays are byte-identical to a
-    /// serial build at any thread count, and the budget check between
-    /// switches bounds how far an over-budget build can overshoot before
-    /// bailing.
+    /// Switches are derived in parallel rounds over the shared worker
+    /// pool (`rfc_parallel`) and stitched serially *in switch order*, so
+    /// the arrays are byte-identical to a serial build at any thread
+    /// count. The rounds grow geometrically: the first derives
+    /// [`FIRST_CHUNK`] switches, each later one as many as are already
+    /// stitched (at most [`MAX_CHUNK`]). The budget is checked after
+    /// every stitched switch, so an over-budget build derives at most
+    /// `max(FIRST_CHUNK, 2 × stitched)` switches before bailing, at any
+    /// thread count.
+    ///
+    /// Also returns how many switches were derived and how many stitched
+    /// (the last one stitched is the one that crossed the budget, if
+    /// any), for the tests that hold the build to that bound.
     fn build_table(
         net: &SimNetwork,
         oracle: &O,
         dst_space: usize,
         budget: usize,
-    ) -> Option<RleTable> {
-        /// Switches per parallel stitching round.
-        const CHUNK: usize = 4096;
+    ) -> (Option<RleTable>, usize, usize) {
         if budget == 0 {
-            return None;
+            return (None, 0, 0);
         }
         let dst32 = vid(dst_space);
+        let n = net.num_switches();
         let mut table = empty_table(dst_space);
-        // Global interner: row contents → id, in first-appearance order
-        // (switch-major), so the pool layout is deterministic. BTreeMap
-        // keeps it independent of any hasher state.
-        let mut interner: RowInterner = RowInterner::new();
-        let all: Vec<u32> = (0..vid(net.num_switches())).collect();
-        for chunk in all.chunks(CHUNK) {
+        let mut empty_row = u32::MAX;
+        let mut done = 0usize;
+        while done < n {
+            let end = n.min(done + done.clamp(FIRST_CHUNK, MAX_CHUNK));
             let per_switch: Vec<SwitchRuns> =
-                rfc_parallel::map(chunk.to_vec(), |switch| switch_runs(net, oracle, switch, dst32));
-            for sr in per_switch {
-                stitch_switch(&mut table, &mut interner, &sr)?;
-                if table.bytes() > budget {
-                    return None;
+                rfc_parallel::map((done..end).map(vid).collect(), |switch| {
+                    switch_runs(net, oracle, switch, dst32)
+                });
+            for (i, sr) in per_switch.into_iter().enumerate() {
+                if stitch_switch(&mut table, &mut empty_row, &sr).is_none()
+                    || table.bytes() > budget
+                {
+                    return (None, end, done + i + 1);
                 }
             }
+            done = end;
         }
-        Some(table)
+        (Some(table), n, n)
     }
 
     /// Region-scoped table repair: rebuilds only the `dirty` switches'
     /// runs against the (already repaired) `oracle`, reuses every clean
-    /// switch's runs from `old`, and re-canonicalizes the shared row
-    /// pool in the same first-appearance order a fresh
-    /// [`Simulation::build_table`] would produce — so the result is
-    /// byte-identical to a from-scratch build over the new oracle.
+    /// switch's runs from `old`, and renumbers the row pool in the same
+    /// first-appearance order a fresh [`Simulation::build_table`] would
+    /// produce — so the result is byte-identical to a from-scratch build
+    /// over the new oracle.
     ///
-    /// `index` must be the content → id map of `old`'s row pool (built
-    /// by [`row_index`], then carried between patches); on success it is
-    /// renumbered in place to describe the returned table.
+    /// Rows are switch-private except the empty one, so a dirty switch's
+    /// rows need no lookup against the old pool: they are appended like
+    /// a fresh build's, and only the empty row rejoins its old identity.
     ///
     /// Returns `None` on budget/overflow exhaustion, the same live-query
-    /// fallback as the full build (`index` is left untouched — stale,
-    /// but the caller stops patching once it falls back to live).
+    /// fallback as the full build.
     pub(crate) fn patch_table(
         net: &SimNetwork,
         oracle: &O,
         old: &RleTable,
         scope: &PatchScope<'_>,
         budget: usize,
-        index: &mut RowInterner,
     ) -> Option<RleTable> {
         if budget == 0 {
             return None;
         }
         let dst32 = vid(old.dst_space);
         let old_rows = old.row_off.len() - 1;
-        let old_ports =
-            |r: usize| &old.row_ports[old.row_off[r] as usize..old.row_off[r + 1] as usize];
         // Old row id → id in the rebuilt pool, assigned lazily in the
         // new scan's first-appearance order (`u32::MAX` = unseen; real
         // ids stay far below it under any byte budget). Rows of clean
         // switches renumber through this array alone — one indexed load
         // per run — which is what makes a patch an order of magnitude
-        // cheaper than re-interning every row by content.
+        // cheaper than a rebuild.
         let mut old_to_new: Vec<u32> = vec![u32::MAX; old_rows];
-        // Contents the old pool has never held (dirty switches only).
-        let mut fresh: RowInterner = RowInterner::new();
+        // The shared empty row: dirty switches reach it through the old
+        // row's slot (clean switches renumber it there), or through a
+        // slot of their own when the old pool never held it.
+        let old_empty = (0..old_rows).find(|&r| old.pool_row(r).is_empty());
+        let mut fresh_empty = u32::MAX;
         let mut table = empty_table(old.dst_space);
         // A single-event patch shifts sizes by at most a few rows; old's
         // footprint is the right capacity to within a reallocation.
@@ -687,7 +769,6 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
         let mut scratch = SwitchRuns::empty();
         let mut hops: Vec<u32> = Vec::new();
         let mut resolved: Vec<u32> = Vec::new();
-        let mut global_of_local: Vec<u32> = Vec::new();
         let mut next_dirty = 0usize;
         for switch in 0..net.num_switches() {
             let is_dirty =
@@ -710,42 +791,11 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                         &mut resolved,
                     );
                 }
-                let sr = &scratch;
-                global_of_local.clear();
-                for r in 0..sr.local_off.len() - 1 {
-                    let ports =
-                        &sr.local_ports[sr.local_off[r] as usize..sr.local_off[r + 1] as usize];
-                    // A spliced row remembers which old row it came from
-                    // (`local_old`), skipping the content lookup; a
-                    // recomputed row usually reproduces a content the
-                    // old pool already holds, and `index` lets it rejoin
-                    // that identity instead of forking a duplicate.
-                    let known = sr.local_old[r];
-                    let id = if known != u32::MAX {
-                        let slot = &mut old_to_new[known as usize];
-                        if *slot == u32::MAX {
-                            *slot = append_row(&mut table, ports)?;
-                        }
-                        *slot
-                    } else if let Some(&old_id) = index.get(ports) {
-                        let slot = &mut old_to_new[old_id as usize];
-                        if *slot == u32::MAX {
-                            *slot = append_row(&mut table, ports)?;
-                        }
-                        *slot
-                    } else if let Some(&id) = fresh.get(ports) {
-                        id
-                    } else {
-                        let id = append_row(&mut table, ports)?;
-                        fresh.insert(ports.to_vec(), id);
-                        id
-                    };
-                    global_of_local.push(id);
-                }
-                for (start, local) in sr.starts.iter().zip(&sr.rows) {
-                    table.runs_start.push(*start);
-                    table.runs_row.push(global_of_local[*local as usize]);
-                }
+                let empty_row = match old_empty {
+                    Some(e) => &mut old_to_new[e],
+                    None => &mut fresh_empty,
+                };
+                stitch_switch(&mut table, empty_row, &scratch)?;
             } else {
                 // Clean switch: runs are unchanged, rows keep their old
                 // content identity and renumber at first encounter. Run
@@ -758,7 +808,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                 for k in lo..hi {
                     let old_id = old.runs_row[k] as usize;
                     let id = if old_to_new[old_id] == u32::MAX {
-                        let id = append_row(&mut table, old_ports(old_id))?;
+                        let id = append_row(&mut table, old.pool_row(old_id))?;
                         old_to_new[old_id] = id;
                         id
                     } else {
@@ -766,27 +816,13 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                     };
                     table.runs_row.push(id);
                 }
+                table
+                    .col_off
+                    .push(u32::try_from(table.runs_start.len()).ok()?);
             }
-            table
-                .col_off
-                .push(u32::try_from(table.runs_start.len()).ok()?);
             if table.bytes() > budget {
                 return None;
             }
-        }
-        // Renumber the persistent index to the rebuilt pool: dropped
-        // rows (never re-encountered) leave, survivors take their new
-        // id, and brand-new contents join. No content is re-keyed, so
-        // this is O(rows) pointer work, not O(rows) allocations.
-        index.retain(|_, id| {
-            let new_id = old_to_new[*id as usize];
-            *id = new_id;
-            new_id != u32::MAX
-        });
-        // Insert the few new contents one by one — `BTreeMap::append`
-        // would bulk-rebuild the whole tree on every patch.
-        for (ports, id) in fresh {
-            index.insert(ports, id);
         }
         Some(table)
     }
@@ -971,7 +1007,8 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
         let shard_count = shards.clamp(1, net.num_switches().max(1));
 
         let mut traffic_rng = SmallRng::seed_from_u64(rfc_parallel::child_seed(seed, 1));
-        let traffic = crate::traffic::build(pattern, terminals, cfg.total_cycles(), &mut traffic_rng);
+        let traffic =
+            crate::traffic::build(pattern, terminals, cfg.total_cycles(), &mut traffic_rng);
         let streams = Streams::derive(seed);
         scratch.reset(net, &cfg, shard_count, streams.inj);
 
@@ -1289,11 +1326,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                         if via_switch != NO_VIA
                             && via_switch != dst_switch
                             && !Self::has_route_with(
-                                candidates,
-                                oracle,
-                                via_switch,
-                                dst_switch,
-                                hop_buf,
+                                candidates, oracle, via_switch, dst_switch, hop_buf,
                             )
                         {
                             if in_window {
@@ -2124,6 +2157,162 @@ mod tests {
             tiny.run(TrafficPattern::Uniform, 0.5, 7),
             full.run(TrafficPattern::Uniform, 0.5, 7),
         );
+    }
+
+    /// The byte-identity reference for the table build: rows interned
+    /// by content in one pool-wide map over every run in switch-major
+    /// order, serial and without a budget. It assumes nothing about
+    /// which rows switches can share.
+    fn reference_table<O: RoutingOracle>(
+        net: &SimNetwork,
+        oracle: &O,
+        dst_space: usize,
+    ) -> RleTable {
+        let mut table = empty_table(dst_space);
+        let mut interner: std::collections::BTreeMap<Vec<u32>, u32> = Default::default();
+        let mut resolved = Vec::new();
+        for switch in 0..vid(net.num_switches()) {
+            let col_start = table.runs_start.len();
+            oracle.for_each_dst_run(switch, vid(dst_space), &mut |start, hops| {
+                resolve_out_ports(net, switch, hops, &mut resolved);
+                let next = vid(interner.len());
+                let id = *interner.entry(resolved.clone()).or_insert(next);
+                if id == next {
+                    append_row(&mut table, &resolved).unwrap();
+                }
+                if table.runs_start.len() > col_start && table.runs_row.last() == Some(&id) {
+                    return;
+                }
+                table.runs_start.push(start);
+                table.runs_row.push(id);
+            });
+            table.col_off.push(vid(table.runs_start.len()));
+        }
+        table
+    }
+
+    /// Asserts the built table equals [`reference_table`] at build
+    /// thread counts 1, 2 and 3; returns the most distinct rows one
+    /// switch holds.
+    fn assert_table_matches_reference<O: RoutingOracle + Sync>(
+        net: &SimNetwork,
+        oracle: &O,
+        what: &str,
+    ) -> usize {
+        let mut max_rows = 0;
+        for threads in 1..=3 {
+            rfc_parallel::set_threads(Some(threads));
+            let sim = Simulation::new(net, oracle, SimConfig::quick());
+            rfc_parallel::set_threads(None);
+            let table = sim.table_parts().expect("table fits the budget");
+            assert_eq!(
+                table,
+                &reference_table(net, oracle, table.dst_space),
+                "{what} diverged from the reference at {threads} thread(s)"
+            );
+            max_rows = (0..net.num_switches())
+                .map(|s| {
+                    let mut rows = table.runs_row
+                        [table.col_off[s] as usize..table.col_off[s + 1] as usize]
+                        .to_vec();
+                    rows.sort_unstable();
+                    rows.dedup();
+                    rows.len()
+                })
+                .max()
+                .unwrap_or(0);
+        }
+        max_rows
+    }
+
+    #[test]
+    fn table_build_is_byte_identical_to_the_content_interning_reference() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        // Worst-case fragmentation (the dense-oracle test's RFC).
+        let rfc = FoldedClos::random(8, 24, 3, &mut rng).unwrap();
+        // Wide enough that switches outgrow the linear scan and the
+        // hashed index regrows.
+        let wide = FoldedClos::random(12, 160, 3, &mut rng).unwrap();
+        let cft = FoldedClos::cft(6, 3).unwrap();
+        // Cutting every fifth link leaves unroutable pairs, so many
+        // switches share the empty row.
+        let cut: Vec<_> = cft.links().into_iter().step_by(5).collect();
+        let faulted = cft.with_links_removed(&cut);
+        let oft = FoldedClos::oft(3, 3).unwrap();
+        for (clos, what) in [
+            (&cft, "cft"),
+            (&oft, "oft"),
+            (&rfc, "rfc"),
+            (&wide, "wide rfc"),
+            (&faulted, "faulted cft"),
+        ] {
+            let routing = UpDownRouting::new(clos);
+            let rows =
+                assert_table_matches_reference(&SimNetwork::from_folded_clos(clos), &routing, what);
+            if what == "wide rfc" {
+                // The index is built with room for 2 × SCAN_ROWS rows
+                // and regrows past that.
+                assert!(rows > 2 * SCAN_ROWS, "{rows} rows never regrow the index");
+            }
+        }
+        let rrn = rfc_topology::Rrn::new(12, 4, 2, &mut rng).unwrap();
+        let oracle = rfc_routing::ShortestPathOracle::new(&rrn.graph());
+        assert_table_matches_reference(&SimNetwork::from_rrn(&rrn), &oracle, "rrn");
+    }
+
+    #[test]
+    fn budget_boundary_is_exact_at_any_thread_count() {
+        // A budget of exactly the table's bytes materializes it; one byte
+        // less crosses at the last switch and falls back to live queries
+        // with identical results.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let clos = FoldedClos::random(8, 24, 3, &mut rng).unwrap();
+        let routing = UpDownRouting::new(&clos);
+        let net = SimNetwork::from_folded_clos(&clos);
+        let cfg = SimConfig::quick();
+        let full = Simulation::new(&net, &routing, cfg);
+        let table = full.table_parts().expect("table fits the default budget");
+        let expected = full.run(TrafficPattern::Uniform, 0.5, 7);
+        for threads in 1..=3 {
+            rfc_parallel::set_threads(Some(threads));
+            let exact = Simulation::with_table_budget(&net, &routing, cfg, table.bytes());
+            let short = Simulation::with_table_budget(&net, &routing, cfg, table.bytes() - 1);
+            rfc_parallel::set_threads(None);
+            assert_eq!(exact.table_parts(), Some(table), "{threads} thread(s)");
+            assert_eq!(short.candidate_table_bytes(), None, "{threads} thread(s)");
+            assert_eq!(short.run(TrafficPattern::Uniform, 0.5, 7), expected);
+        }
+    }
+
+    #[test]
+    fn over_budget_build_derives_at_most_twice_what_it_stitches() {
+        // cft(12,3) has 180 switches: the rounds run 16, 16, 32, 64, 52.
+        let clos = FoldedClos::cft(12, 3).unwrap();
+        let routing = UpDownRouting::new(&clos);
+        let net = SimNetwork::from_folded_clos(&clos);
+        let (n, dst) = (net.num_switches(), dst_space(&net));
+        let (table, derived, stitched) =
+            Simulation::<UpDownRouting>::build_table(&net, &routing, dst, usize::MAX);
+        let full = table.expect("an unbounded budget materializes").bytes();
+        assert_eq!((derived, stitched), (n, n));
+        for threads in 1..=3 {
+            rfc_parallel::set_threads(Some(threads));
+            for tenth in 1..10 {
+                let budget = full * tenth / 10;
+                let (table, derived, stitched) =
+                    Simulation::<UpDownRouting>::build_table(&net, &routing, dst, budget);
+                assert!(table.is_none(), "budget {budget} of {full} must not fit");
+                assert!(
+                    stitched > FIRST_CHUNK,
+                    "budget {budget} bails in the first round"
+                );
+                assert!(
+                    derived <= 2 * stitched,
+                    "{threads} thread(s), budget {budget}: derived {derived} to stitch {stitched}"
+                );
+            }
+            rfc_parallel::set_threads(None);
+        }
     }
 
     #[test]
