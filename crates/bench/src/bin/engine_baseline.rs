@@ -18,6 +18,7 @@
 //! cargo run --release -p rfc-bench --bin engine_baseline -- --scale small \
 //!     --shards 1,2 --check BENCH_sim.json --out target/BENCH_sim.json
 //!                                                                   # CI smoke: >2x regression fails
+//!                                                                   # (no --out: --check writes nothing)
 //! cargo run --release -p rfc-bench --bin engine_baseline -- --scale large --table-only
 //!                                                                   # build-only: table kind + bytes
 //! cargo run --release -p rfc-bench --bin engine_baseline -- --scale medium --repair
@@ -528,9 +529,18 @@ fn main() -> ExitCode {
         rendered.push(render_scale(&m));
     }
 
-    let out_path = out
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| repo_root().join("BENCH_sim.json"));
+    let status = if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    };
+    // A gate run only reads the baseline: without `--out` it writes
+    // nothing, so it can never overwrite the committed file.
+    let out_path = match (out, &check) {
+        (Some(path), _) => std::path::PathBuf::from(path),
+        (None, Some(_)) => return status,
+        (None, None) => repo_root().join("BENCH_sim.json"),
+    };
     let trajectory = std::fs::read_to_string(&out_path)
         .ok()
         .as_deref()
@@ -547,9 +557,5 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     eprintln!("# wrote {}", out_path.display());
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    status
 }

@@ -260,17 +260,29 @@ fn checked_load(flag: &str, load: f64) -> Result<f64, CliError> {
 }
 
 /// The simulation flags shared by `simulate` and `sweep`, over the
-/// paper's defaults. Zero measured cycles is rejected: there would be
-/// nothing to measure.
+/// paper's defaults, checked by [`checked_sim`].
 fn sim_config(parsed: &Parsed) -> Result<SimConfig, CliError> {
     let mut config = SimConfig::paper_defaults();
     config.measure_cycles = parsed.num("cycles", config.measure_cycles)?;
-    if config.measure_cycles == 0 {
-        return Err(CliError::Usage("--cycles: must be at least 1".into()));
-    }
     config.warmup_cycles = parsed.num("warmup", config.warmup_cycles)?;
     config.router_latency = parsed.num("router-latency", config.router_latency)?;
     config.valiant_routing = parsed.str("valiant", "off") == "on";
+    checked_sim(config)
+}
+
+/// Rejects a configuration the engine would refuse (zero measured
+/// cycles, a router latency past the event wheel, ...) as a usage
+/// error naming the flag, instead of a panic inside `Simulation::new`.
+fn checked_sim(config: SimConfig) -> Result<SimConfig, CliError> {
+    config.validate().map_err(|e| {
+        let flag = match e.field {
+            "measure_cycles" => "--cycles",
+            "warmup_cycles" => "--warmup",
+            "router_latency" => "--router-latency",
+            other => other,
+        };
+        CliError::Usage(format!("{flag}: {}", e.rule))
+    })?;
     Ok(config)
 }
 
@@ -525,6 +537,7 @@ pub fn repro(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let mut sim = runner::sim_for_scale(scale);
     sim.measure_cycles = parsed.num("cycles", sim.measure_cycles)?;
     sim.warmup_cycles = parsed.num("warmup", sim.warmup_cycles)?;
+    let sim = checked_sim(sim)?;
 
     let mut opts = RunOptions::new(scale, seed, sim);
     opts.trials = parsed.opt_num("trials")?;

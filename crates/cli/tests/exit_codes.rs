@@ -52,3 +52,50 @@ fn boundary_loads_still_run() {
     let (code, stderr) = rfcgen("sweep", &["--loads", "0,1"]);
     assert_eq!(code, Some(0), "--loads 0,1: {stderr}");
 }
+
+#[test]
+fn engine_limits_exit_with_the_usage_code() {
+    // Flags the engine itself would refuse: a router latency past the
+    // event-wheel horizon (also one that would wrap the horizon sum),
+    // and a warmup that overflows the cycle count.
+    let cases: [(&str, &[&str]); 6] = [
+        ("simulate", &["--router-latency", "100000"]),
+        ("simulate", &["--router-latency", "18446744073709551615"]),
+        ("simulate", &["--warmup", "18446744073709551615"]),
+        ("sweep", &["--router-latency", "100000"]),
+        ("sweep", &["--router-latency", "18446744073709551615"]),
+        ("sweep", &["--warmup", "18446744073709551615"]),
+    ];
+    for (command, flags) in cases {
+        let (code, stderr) = rfcgen(command, flags);
+        assert_eq!(code, Some(2), "{command} {flags:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("usage error: {}", flags[0])),
+            "{command} {flags:?}: {stderr}"
+        );
+    }
+    // The largest latency that fits still runs.
+    let (code, stderr) = rfcgen("simulate", &["--router-latency", "46"]);
+    assert_eq!(code, Some(0), "--router-latency 46: {stderr}");
+}
+
+#[test]
+fn repro_rejects_zero_cycles_before_running_anything() {
+    let dir = std::env::temp_dir().join(format!("rfcgen-exit-codes-{}", std::process::id()));
+    for flags in [["--cycles", "0"], ["--warmup", "18446744073709551615"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_rfcgen"))
+            .args(["repro", "--only", "fig8", "--scale", "small"])
+            .args(flags)
+            .arg("--out-dir")
+            .arg(&dir)
+            .output()
+            .expect("rfcgen runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "repro {flags:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("usage error: {}", flags[0])),
+            "repro {flags:?}: {stderr}"
+        );
+    }
+    assert!(!dir.exists(), "a rejected repro must write nothing");
+}

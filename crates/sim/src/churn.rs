@@ -33,7 +33,7 @@ use rfc_graph::vid;
 use rfc_routing::UpDownRouting;
 use rfc_topology::{FoldedClos, Link, LinkEvent, LiveClos};
 
-use crate::engine::{Candidates, PatchScope, RunScratch, Simulation, StepCtx};
+use crate::engine::{Candidates, PatchScope, RunScratch, Simulation, StepCtx, HEAD_NONE};
 use crate::network::SimNetwork;
 use crate::shard::{drain_mailboxes, new_mailboxes, ShardState, Streams};
 use crate::{SimConfig, SimResult, TrafficPattern};
@@ -183,13 +183,25 @@ impl DynState {
     /// flips, the routing table repairs incrementally, and the
     /// candidate table patches over the repair's dirty region — all
     /// byte-identical to a from-scratch rebuild on the new topology.
-    fn apply_due(&mut self, net: &SimNetwork, schedule: &FaultSchedule, budget: usize, now: u64) {
+    ///
+    /// Returns whether any event changed the topology. The caller must
+    /// then drop its shard's head summaries: a patch renumbers the
+    /// table's rows and may change their content.
+    fn apply_due(
+        &mut self,
+        net: &SimNetwork,
+        schedule: &FaultSchedule,
+        budget: usize,
+        now: u64,
+    ) -> bool {
+        let mut applied = false;
         while let Some((cycle, ev)) = schedule.events.get(self.next_event) {
             if *cycle > now {
                 break;
             }
             self.next_event += 1;
             if self.live.apply(ev) {
+                applied = true;
                 let scope = self.routing.apply_event(self.live.current(), ev);
                 if let Candidates::Table(old) = &self.candidates {
                     self.candidates = Simulation::patch_table(
@@ -207,6 +219,7 @@ impl DynState {
                 }
             }
         }
+        applied
     }
 }
 
@@ -326,7 +339,9 @@ impl<'a> Simulation<'a, UpDownRouting> {
                 let mut ds = DynState::new(self, clos);
                 let st = &mut shard_states[0];
                 for now in 0..end {
-                    ds.apply_due(net, schedule, budget, now);
+                    if ds.apply_due(net, schedule, budget, now) {
+                        st.head_route.fill(HEAD_NONE);
+                    }
                     if now > 0 && now % epoch_len == 0 && now / epoch_len < epochs as u64 {
                         ds.marks.push(st.delivered);
                     }
@@ -356,7 +371,9 @@ impl<'a> Simulation<'a, UpDownRouting> {
                         // previous cycle's drain barrier and this
                         // cycle's send barrier; no locks, channels,
                         // sleeps, blocking I/O, or SeqCst here
-                        ds.apply_due(net, schedule, budget, now);
+                        if ds.apply_due(net, schedule, budget, now) {
+                            st.head_route.fill(HEAD_NONE);
+                        }
                         if now > 0 && now % epoch_len == 0 && now / epoch_len < epochs as u64 {
                             ds.marks.push(st.delivered);
                         }
@@ -472,6 +489,10 @@ pub fn repair_speedup(
         // revert (the revert is also incremental, so it counts too —
         // a churn cycle pays both directions).
         let mut repaired = routing.clone();
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "this function *is* the stopwatch"
+        )]
         // xtask: allow(wall-clock) — this function *is* the stopwatch
         let t0 = Instant::now();
         if !live.apply(&ev) {
@@ -496,12 +517,14 @@ pub fn repair_speedup(
         std::hint::black_box(&patched);
 
         // Full rebuild on the faulted topology.
+        #[allow(clippy::disallowed_methods, reason = "stopwatch")]
         let t1 = Instant::now(); // xtask: allow(wall-clock) — stopwatch
         let rebuilt = UpDownRouting::new(live.current());
         let rebuilt_sim = Simulation::new(&net, &rebuilt, cfg);
         full_rebuild += t1.elapsed();
         std::hint::black_box(&rebuilt_sim);
 
+        #[allow(clippy::disallowed_methods, reason = "stopwatch")]
         let t2 = Instant::now(); // xtask: allow(wall-clock) — stopwatch
         let undo = ev.inverse();
         if live.apply(&undo) {
@@ -523,6 +546,10 @@ mod tests {
 
     #[test]
     #[ignore = "profiling helper, run with --ignored --nocapture"]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "profiling helper: wall-clock times are its output"
+    )]
     fn profile_repair_breakdown() {
         let clos = FoldedClos::cft(16, 3).unwrap();
         let net = SimNetwork::from_folded_clos(&clos);

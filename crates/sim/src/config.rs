@@ -94,43 +94,114 @@ impl SimConfig {
         self.warmup_cycles + self.measure_cycles
     }
 
+    /// Checks the configuration, naming the first field that breaks a
+    /// rule: a count is zero where that makes no sense, an index would
+    /// not fit its `u8` storage, the cycle count overflows, or the sum
+    /// of link latency, router latency and packet length reaches past
+    /// the event-wheel horizon.
+    ///
+    /// # Errors
+    ///
+    /// The offending field and the rule it breaks.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let rules = [
+            (
+                self.virtual_channels >= 1,
+                "virtual_channels",
+                "need at least one virtual channel",
+            ),
+            (
+                self.buffer_packets >= 1,
+                "buffer_packets",
+                "need at least one buffer slot",
+            ),
+            (
+                self.buffer_packets <= 255,
+                "buffer_packets",
+                "ring offsets and credit counters are u8: at most 255 buffers per VC",
+            ),
+            (
+                self.virtual_channels <= 255,
+                "virtual_channels",
+                "VC indices are u8: at most 255 virtual channels",
+            ),
+            (
+                self.packet_length >= 1,
+                "packet_length",
+                "packets need at least one phit",
+            ),
+            (
+                self.measure_cycles >= 1,
+                "measure_cycles",
+                "must be at least 1, or there is nothing to measure",
+            ),
+            (
+                self.warmup_cycles
+                    .checked_add(self.measure_cycles)
+                    .is_some(),
+                "warmup_cycles",
+                "warmup + measured cycles overflow u64",
+            ),
+            (
+                self.latency_reservoir >= 1,
+                "latency_reservoir",
+                "percentiles need at least one latency sample slot",
+            ),
+            (
+                self.link_latency
+                    .saturating_add(self.router_latency)
+                    .saturating_add(self.packet_length)
+                    < crate::engine::EVENT_WHEEL as u64,
+                "router_latency",
+                "link + router latency + packet length must fit the event wheel (64 cycles)",
+            ),
+            (
+                !self.valiant_routing || self.virtual_channels >= 2,
+                "valiant_routing",
+                "valiant routing needs >= 2 virtual channels for its phase partition",
+            ),
+        ];
+        match rules.into_iter().find(|&(ok, _, _)| !ok) {
+            Some((_, field, rule)) => Err(ConfigError { field, rule }),
+            None => Ok(()),
+        }
+    }
+
     /// Validates the configuration.
     ///
     /// # Panics
     ///
-    /// Panics when a field is zero where that makes no sense, or the link
-    /// latency/packet length exceed the event-wheel horizon.
+    /// Panics with the [`SimConfig::validate`] error when the
+    /// configuration is invalid.
     pub fn assert_valid(&self) {
+        let verdict = self.validate();
         assert!(
-            self.virtual_channels >= 1,
-            "need at least one virtual channel"
-        );
-        assert!(self.buffer_packets >= 1, "need at least one buffer slot");
-        assert!(
-            self.buffer_packets <= 255,
-            "ring offsets and credit counters are u8: at most 255 buffers per VC"
-        );
-        assert!(
-            self.virtual_channels <= 255,
-            "VC indices are u8: at most 255 virtual channels"
-        );
-        assert!(self.packet_length >= 1, "packets need at least one phit");
-        assert!(self.measure_cycles >= 1, "nothing to measure");
-        assert!(
-            self.latency_reservoir >= 1,
-            "percentiles need at least one latency sample slot"
-        );
-        assert!(
-            self.link_latency + self.router_latency + self.packet_length
-                < crate::engine::EVENT_WHEEL as u64,
-            "link + router latency + packet length must fit the event wheel"
-        );
-        assert!(
-            !self.valiant_routing || self.virtual_channels >= 2,
-            "valiant routing needs >= 2 virtual channels for its phase partition"
+            verdict.is_ok(),
+            "{}",
+            verdict.err().map_or(String::new(), |e| e.to_string())
         );
     }
 }
+
+/// A [`SimConfig`] that breaks one of the engine's rules
+/// ([`SimConfig::validate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The offending `SimConfig` field (for the event-wheel horizon,
+    /// which spans three fields, `router_latency`: the one meant to be
+    /// varied).
+    pub field: &'static str,
+    /// The rule it breaks.
+    pub rule: &'static str,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid SimConfig.{}: {}", self.field, self.rule)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 impl Default for SimConfig {
     fn default() -> Self {
@@ -161,6 +232,33 @@ mod tests {
         let c = SimConfig::quick();
         c.assert_valid();
         assert!(c.total_cycles() < SimConfig::paper_defaults().total_cycles());
+    }
+
+    #[test]
+    fn validate_names_the_offending_field() {
+        let ok = SimConfig::paper_defaults();
+        assert_eq!(ok.validate(), Ok(()));
+        let far = SimConfig {
+            router_latency: 100_000,
+            ..ok
+        };
+        assert_eq!(far.validate().unwrap_err().field, "router_latency");
+        // The horizon sum saturates instead of wrapping past the check.
+        let wrap = SimConfig {
+            router_latency: u64::MAX,
+            ..ok
+        };
+        assert_eq!(wrap.validate().unwrap_err().field, "router_latency");
+        let empty = SimConfig {
+            measure_cycles: 0,
+            ..ok
+        };
+        assert_eq!(empty.validate().unwrap_err().field, "measure_cycles");
+        let long = SimConfig {
+            warmup_cycles: u64::MAX,
+            ..ok
+        };
+        assert_eq!(long.validate().unwrap_err().field, "warmup_cycles");
     }
 
     #[test]

@@ -92,9 +92,16 @@ fn geometric_gap(rng: &mut SmallRng, ln_q: f64) -> usize {
 /// paths — both must consume the draw identically for the materialized
 /// table to be a pure cache. `h` is the slot's stateless per-cycle draw;
 /// its low half picks the candidate (the high half is reserved for the
-/// target-VC start).
+/// target-VC start). `target` yields the routing target; only the hash
+/// mode calls it.
 #[inline]
-fn pick_candidate(mode: RequestMode, h: u64, len: usize, switch: u32, target: u32) -> usize {
+fn pick_candidate(
+    mode: RequestMode,
+    h: u64,
+    len: usize,
+    switch: u32,
+    target: impl FnOnce() -> u32,
+) -> usize {
     match mode {
         RequestMode::UpDownRandom => {
             if len == 1 {
@@ -104,6 +111,7 @@ fn pick_candidate(mode: RequestMode, h: u64, len: usize, switch: u32, target: u3
             }
         }
         RequestMode::UpDownHash => {
+            let target = target();
             let hh = (u64::from(switch).wrapping_mul(0x9E37_79B9_7F4A_7C15))
                 ^ (u64::from(target).wrapping_mul(0xD1B5_4A32_D192_ED03));
             (hh >> 32) as usize % len
@@ -112,11 +120,12 @@ fn pick_candidate(mode: RequestMode, h: u64, len: usize, switch: u32, target: u3
 }
 
 /// A packet in flight. Payload is irrelevant to the performance study;
-/// only identity, destination, and timing are tracked.
+/// only identity, destination, and timing are tracked. 16 bytes: the
+/// destination switch is not stored, because only route resolution
+/// ([`resolve_head`]) needs it, once per head.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Packet {
     dst_terminal: u32,
-    dst_switch: u32,
     /// Valiant intermediate switch, or [`NO_VIA`] once passed (or when
     /// Valiant routing is off).
     via_switch: u32,
@@ -127,9 +136,106 @@ impl Default for Packet {
     fn default() -> Self {
         Self {
             dst_terminal: 0,
-            dst_switch: 0,
             via_switch: NO_VIA,
             gen_time: 0,
+        }
+    }
+}
+
+/// The switch a packet is routed toward next: its Valiant intermediate
+/// while one is pending, else its destination terminal's switch.
+#[inline]
+fn routing_target(head: &Packet, dst_switch_of_terminal: &[u32]) -> u32 {
+    if head.via_switch != NO_VIA {
+        head.via_switch
+    } else {
+        dst_switch_of_terminal[head.dst_terminal as usize]
+    }
+}
+
+/// A head packet's resolved route at its current switch (DESIGN.md §10,
+/// "Head summaries"). It depends only on the packet and the candidate
+/// structure, neither of which changes while the packet waits at the
+/// head of its queue, so the table path caches it per VC slot, packed
+/// into a `u32` ([`HeadRoute::pack`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct HeadRoute {
+    /// The ejection port when `eject`; else the candidate row: the
+    /// table's interned row id, or the routing target itself when the
+    /// oracle is queried live.
+    key: u32,
+    /// The packet leaves the network here.
+    eject: bool,
+    /// The packet still heads for its Valiant intermediate (selects the
+    /// phase-0 VC class downstream).
+    phase0: bool,
+}
+
+/// Packed [`HeadRoute`] flags and the sentinel for "not resolved yet".
+pub(crate) const HEAD_NONE: u32 = u32::MAX;
+const HEAD_EJECT: u32 = 1 << 31;
+const HEAD_PHASE0: u32 = 1 << 30;
+const HEAD_KEY: u32 = HEAD_PHASE0 - 1;
+
+impl HeadRoute {
+    /// The summary word: `key` in the low 30 bits under the two flags,
+    /// or [`HEAD_NONE`] when `key` does not fit — such a route is simply
+    /// resolved again on the next visit. A packed route never equals
+    /// [`HEAD_NONE`], whose key bits are all ones.
+    #[inline]
+    fn pack(self) -> u32 {
+        if self.key >= HEAD_KEY {
+            return HEAD_NONE;
+        }
+        let mut w = self.key;
+        if self.eject {
+            w |= HEAD_EJECT;
+        }
+        if self.phase0 {
+            w |= HEAD_PHASE0;
+        }
+        w
+    }
+
+    /// Inverse of [`HeadRoute::pack`] for any word but [`HEAD_NONE`].
+    #[inline]
+    fn unpack(w: u32) -> Self {
+        HeadRoute {
+            key: w & HEAD_KEY,
+            eject: w & HEAD_EJECT != 0,
+            phase0: w & HEAD_PHASE0 != 0,
+        }
+    }
+}
+
+/// Resolves the route of `head`, waiting at `switch`: applies the
+/// Valiant phase transition in place (the intermediate has been
+/// reached), then names the ejection port or the candidate row — the
+/// table's row id (the run binary search) when `table` is given, the
+/// routing target otherwise. The single place a head's route is
+/// derived.
+#[inline]
+fn resolve_head(
+    head: &mut Packet,
+    switch: u32,
+    table: Option<&RleTable>,
+    net: &SimNetwork,
+) -> HeadRoute {
+    if head.via_switch == switch {
+        head.via_switch = NO_VIA;
+    }
+    let target = routing_target(head, &net.dst_switch_of_terminal);
+    if target == switch {
+        HeadRoute {
+            key: net.eject_port_of_terminal[head.dst_terminal as usize],
+            eject: true,
+            phase0: false,
+        }
+    } else {
+        HeadRoute {
+            key: table.map_or(target, |t| t.row_id(switch, target)),
+            eject: false,
+            phase0: head.via_switch != NO_VIA,
         }
     }
 }
@@ -186,16 +292,22 @@ pub(crate) struct RleTable {
 }
 
 impl RleTable {
-    /// The resolved out-ports for `(switch, dst)`; empty when unroutable.
+    /// The interned row id for `(switch, dst)`: a binary search over
+    /// the switch's runs.
     #[inline]
-    fn row(&self, switch: u32, dst: u32) -> &[u32] {
+    fn row_id(&self, switch: u32, dst: u32) -> u32 {
         let lo = self.col_off[switch as usize] as usize;
         let hi = self.col_off[switch as usize + 1] as usize;
         let runs = &self.runs_start[lo..hi];
         // Last run starting at or before dst; every switch's first run
         // starts at 0, so the subtraction cannot underflow.
-        let k = lo + runs.partition_point(|&s| s <= dst) - 1;
-        self.pool_row(self.runs_row[k] as usize)
+        self.runs_row[lo + runs.partition_point(|&s| s <= dst) - 1]
+    }
+
+    /// The resolved out-ports for `(switch, dst)`; empty when unroutable.
+    #[inline]
+    fn row(&self, switch: u32, dst: u32) -> &[u32] {
+        self.pool_row(self.row_id(switch, dst) as usize)
     }
 
     /// Row `r` of the pool.
@@ -1204,6 +1316,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
             req_count,
             touched,
             hop_buf,
+            head_route,
             slot_switch,
             slot_gid,
             slot_vc,
@@ -1225,7 +1338,6 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
         let shard_of_out = plan.shard_of_out.as_slice();
         let out_gids_me = plan.out_gids[me].as_slice();
         let out_target = net.out_target.as_slice();
-        let eject_port_of_terminal = net.eject_port_of_terminal.as_slice();
         let dst_switch_of_terminal = net.dst_switch_of_terminal.as_slice();
         let inject_port_of_terminal = net.inject_port_of_terminal.as_slice();
 
@@ -1362,7 +1474,6 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                         }
                         pkts[s * cap + pos] = Packet {
                             dst_terminal: dst,
-                            dst_switch,
                             via_switch,
                             gen_time: now,
                         };
@@ -1390,7 +1501,9 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
         //    whose candidate outputs are ALL busy is *parked*: removed
         //    from the worklist with a `Wake` scheduled for the cycle the
         //    earliest output frees — until then a rescan could never
-        //    have produced a request, so skipping it is exact.
+        //    have produced a request, so skipping it is exact. On the
+        //    table path a head's route is resolved at its first visit
+        //    and read from the slot's summary on every later one.
         let mut i = 0;
         'slots: while i < active.len() {
             let s = active[i] as usize;
@@ -1400,18 +1513,34 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                 continue;
             }
             let switch = slot_switch[s];
-            let head = &mut pkts[s * cap + q_head[s] as usize];
-            // Valiant phase transition: the intermediate has been
-            // reached, continue toward the real target.
-            if head.via_switch == switch {
-                head.via_switch = NO_VIA;
-            }
-            let routing_target = if head.via_switch != NO_VIA {
-                head.via_switch
-            } else {
-                head.dst_switch
+            let head_at = s * cap + q_head[s] as usize;
+            let route = match candidates {
+                Candidates::Table(table) => {
+                    let summary = head_route[s];
+                    if summary == HEAD_NONE {
+                        let route = resolve_head(&mut pkts[head_at], switch, Some(table), net);
+                        head_route[s] = route.pack();
+                        route
+                    } else {
+                        // The summary must equal what the packet and the
+                        // current table resolve to now. Its Valiant
+                        // transition is already applied, so resolving a
+                        // copy of the packet changes nothing.
+                        debug_assert_eq!(
+                            summary,
+                            {
+                                let mut head = pkts[head_at];
+                                resolve_head(&mut head, switch, Some(table), net).pack()
+                            },
+                            "stale head summary at slot {s}"
+                        );
+                        HeadRoute::unpack(summary)
+                    }
+                }
+                // No row ids to cache: resolve through the oracle on
+                // every visit.
+                Candidates::Live => resolve_head(&mut pkts[head_at], switch, None, net),
             };
-            let head = *head;
             // Parks the current slot until `wake` (at most
             // packet_length cycles out, within the wheel horizon).
             macro_rules! park_until {
@@ -1425,8 +1554,8 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
             // The global slot id: the stateless draw key and the
             // arbitration tie-break, both partition-independent.
             let gid = slot_gid[s];
-            let (out_gid, o, target_vc) = if routing_target == switch {
-                let out = eject_port_of_terminal[head.dst_terminal as usize];
+            let (out_gid, o, target_vc) = if route.eject {
+                let out = route.key;
                 let free_at = busy_until[out as usize];
                 if free_at > now {
                     // The ejector is this packet's only way out.
@@ -1439,7 +1568,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                 let h = draw(ctx.streams.dec, now, u64::from(gid));
                 let out = match candidates {
                     Candidates::Table(table) => {
-                        let ports = table.row(switch, routing_target);
+                        let ports = table.pool_row(route.key as usize);
                         if ports.is_empty() {
                             // Statically faulted networks never strand a
                             // packet mid-route (injection pre-checks),
@@ -1447,13 +1576,11 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                             i += 1;
                             continue;
                         }
-                        let k = pick_candidate(
-                            cfg.request_mode,
-                            h,
-                            ports.len(),
-                            switch,
-                            routing_target,
-                        );
+                        // Only the hash mode needs the target, and only
+                        // it re-reads the head packet for it.
+                        let k = pick_candidate(cfg.request_mode, h, ports.len(), switch, || {
+                            routing_target(&pkts[head_at], dst_switch_of_terminal)
+                        });
                         let out = ports[k];
                         if busy_until[out as usize] > now {
                             let mut wake = u64::MAX;
@@ -1471,19 +1598,15 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                         out
                     }
                     Candidates::Live => {
+                        let target = route.key;
                         hop_buf.clear();
-                        oracle.next_hops_into(switch, routing_target, hop_buf);
+                        oracle.next_hops_into(switch, target, hop_buf);
                         if hop_buf.is_empty() {
                             i += 1;
                             continue;
                         }
-                        let k = pick_candidate(
-                            cfg.request_mode,
-                            h,
-                            hop_buf.len(),
-                            switch,
-                            routing_target,
-                        );
+                        let k =
+                            pick_candidate(cfg.request_mode, h, hop_buf.len(), switch, || target);
                         let hop = hop_buf[k];
                         // An oracle handing back a non-neighbor (or an
                         // ejection port) is a routing bug; stall the
@@ -1523,7 +1646,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                 // buffers this output feeds), restricted to the packet's
                 // Valiant phase class. Wrap-if rotation instead of a
                 // per-step modulo.
-                let (vc_lo, vc_hi) = vc_range(cfg.valiant_routing, head.via_switch != NO_VIA, v);
+                let (vc_lo, vc_hi) = vc_range(cfg.valiant_routing, route.phase0, v);
                 let span = vc_hi - vc_lo;
                 let start = if span == 1 { 0 } else { bounded_hi(h, span) };
                 let ob = o * v;
@@ -1598,6 +1721,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                 continue;
             }
             let packet = pkts[s * cap + q_head[s] as usize];
+            head_route[s] = HEAD_NONE;
             let next_head = q_head[s] as usize + 1;
             q_head[s] = if next_head == cap {
                 0
@@ -1717,6 +1841,28 @@ mod tests {
         let clos = FoldedClos::cft(4, 2).unwrap();
         let routing = UpDownRouting::new(&clos);
         (SimNetwork::from_folded_clos(&clos), routing)
+    }
+
+    #[test]
+    fn head_summaries_round_trip_and_never_alias_the_sentinel() {
+        for key in [0, 1, 12_345, HEAD_KEY - 1] {
+            for (eject, phase0) in [(false, false), (false, true), (true, false)] {
+                let route = HeadRoute { key, eject, phase0 };
+                let w = route.pack();
+                assert_ne!(w, HEAD_NONE);
+                assert_eq!(HeadRoute::unpack(w), route);
+            }
+        }
+        // A key too wide for 30 bits is not cached: it stays unresolved
+        // and is resolved again on the next visit.
+        for key in [HEAD_KEY, HEAD_KEY + 1, u32::MAX] {
+            let route = HeadRoute {
+                key,
+                eject: true,
+                phase0: false,
+            };
+            assert_eq!(route.pack(), HEAD_NONE);
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ mod stats;
 mod traffic;
 
 pub use churn::{ChurnResult, FaultSchedule, RepairBenchmark};
-pub use config::{RequestMode, SimConfig};
+pub use config::{ConfigError, RequestMode, SimConfig};
 pub use engine::{RunScratch, Simulation};
 pub use network::SimNetwork;
 pub use stats::{PortUtilization, SimResult};

@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use rfc_graph::vid;
 use std::sync::Mutex;
 
-use crate::engine::{Packet, EVENT_WHEEL};
+use crate::engine::{Packet, EVENT_WHEEL, HEAD_NONE};
 use crate::network::SimNetwork;
 use crate::SimConfig;
 
@@ -429,6 +429,11 @@ pub(crate) struct ShardState {
     pub req_count: Vec<u32>,
     pub touched: Vec<u32>,
     pub hop_buf: Vec<u32>,
+    /// Per VC slot, the packed resolved route of its head packet, or
+    /// [`HEAD_NONE`] until the request stage first visits that head
+    /// (table path only; DESIGN.md §10). Cleared when a grant pops the
+    /// head and, in churn runs, whenever the candidate table changes.
+    pub head_route: Vec<u32>,
     /// Slot → owning switch (global id).
     pub slot_switch: Vec<u32>,
     /// Slot → global slot id (`global_in_port · v + vc`), the stateless
@@ -497,6 +502,8 @@ impl ShardState {
         self.req_count.resize(n_out, 0);
         self.touched.clear();
         self.hop_buf.clear();
+        self.head_route.clear();
+        self.head_route.resize(slots, HEAD_NONE);
         self.slot_switch.clear();
         self.slot_switch.reserve(slots);
         self.slot_gid.clear();
