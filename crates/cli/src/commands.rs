@@ -375,10 +375,12 @@ pub fn sweep(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     // never feeds a result.
     #[allow(clippy::disallowed_methods)]
     let start = std::time::Instant::now();
+    let shards = parallel::current_shards();
     let results = parallel::map_init(jobs, RunScratch::new, |scratch, (index, pattern, load)| {
+        let seed = parallel::child_seed(seed, index);
         (
             pattern,
-            sim.run_scratch(pattern, load, parallel::child_seed(seed, index), scratch),
+            sim.run_sharded_scratch(pattern, load, seed, shards, scratch),
         )
     });
     let elapsed = start.elapsed();

@@ -100,7 +100,9 @@ pub fn run_prepared(
         jobs,
         RunScratch::new,
         |scratch, (index, ni, pattern, load)| {
-            let r = sims[ni].run_scratch(pattern, load, parallel::child_seed(seed, index), scratch);
+            let seed = parallel::child_seed(seed, index);
+            let shards = parallel::current_shards();
+            let r = sims[ni].run_sharded_scratch(pattern, load, seed, shards, scratch);
             SimPoint {
                 net: scenario.nets[ni].label.clone(),
                 pattern,

@@ -29,17 +29,17 @@ use std::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use rfc_graph::vid;
 use rfc_routing::UpDownRouting;
 use rfc_topology::{FoldedClos, Link, LinkEvent, LiveClos};
 
-use crate::engine::{Candidates, PatchScope, RunScratch, Simulation, StepCtx, HEAD_NONE};
+use crate::engine::{RunScratch, ShardRoutes, Simulation, HEAD_NONE};
 use crate::network::SimNetwork;
-use crate::shard::{drain_mailboxes, new_mailboxes, ShardState, Streams};
+use crate::shard::ShardState;
+use crate::table::Candidates;
 use crate::{SimConfig, SimResult, TrafficPattern};
 
 /// A deterministic, cycle-stamped sequence of link events, applied at
-/// cycle boundaries by [`Simulation::run_churn`].
+/// cycle boundaries by [`Simulation::run_churn_sharded_scratch`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultSchedule {
     /// Sorted by `(cycle, event)`; ties resolve by the event order so
@@ -157,24 +157,42 @@ pub struct ChurnResult {
     pub events_applied: usize,
 }
 
-/// Per-shard replica of the dynamic routing state.
-struct DynState {
+/// Per-shard replica of the dynamic routing state, with the epoch
+/// bookkeeping its shard records at cycle boundaries.
+struct DynState<'s> {
     live: LiveClos,
     routing: UpDownRouting,
     candidates: Candidates,
+    net: &'s SimNetwork,
+    schedule: &'s FaultSchedule,
+    /// The byte budget table patches run under.
+    budget: usize,
     /// Cursor into the schedule's canonical event order.
     next_event: usize,
+    epoch_len: u64,
+    epochs: u64,
     /// `delivered` snapshots at epoch boundaries.
     marks: Vec<u64>,
 }
 
-impl DynState {
-    fn new(sim: &Simulation<'_, UpDownRouting>, clos: &FoldedClos) -> Self {
+impl<'s> DynState<'s> {
+    fn new(
+        sim: &Simulation<'s, UpDownRouting>,
+        clos: &FoldedClos,
+        schedule: &'s FaultSchedule,
+        epoch_len: u64,
+        epochs: u64,
+    ) -> Self {
         DynState {
             live: LiveClos::new(clos),
             routing: sim.oracle().clone(),
             candidates: sim.candidates().clone(),
+            net: sim.net(),
+            schedule,
+            budget: sim.table_budget(),
             next_event: 0,
+            epoch_len,
+            epochs,
             marks: Vec::new(),
         }
     }
@@ -186,16 +204,11 @@ impl DynState {
     ///
     /// Returns whether any event changed the topology. The caller must
     /// then drop its shard's head summaries: a patch renumbers the
-    /// table's rows and may change their content.
-    fn apply_due(
-        &mut self,
-        net: &SimNetwork,
-        schedule: &FaultSchedule,
-        budget: usize,
-        now: u64,
-    ) -> bool {
+    /// table's rows, may change their content, and may fall back to
+    /// live queries, whose keys are target switches, not row ids.
+    fn apply_due(&mut self, now: u64) -> bool {
         let mut applied = false;
-        while let Some((cycle, ev)) = schedule.events.get(self.next_event) {
+        while let Some((cycle, ev)) = self.schedule.events.get(self.next_event) {
             if *cycle > now {
                 break;
             }
@@ -203,23 +216,37 @@ impl DynState {
             if self.live.apply(ev) {
                 applied = true;
                 let scope = self.routing.apply_event(self.live.current(), ev);
-                if let Candidates::Table(old) = &self.candidates {
-                    self.candidates = Simulation::patch_table(
-                        net,
-                        &self.routing,
-                        old,
-                        &PatchScope {
-                            dirty: &scope.table_dirty,
-                            full: &scope.endpoints,
-                            dst_delta: &scope.dst_delta,
-                        },
-                        budget,
-                    )
-                    .map_or(Candidates::Live, Candidates::Table);
-                }
+                self.candidates =
+                    self.candidates
+                        .patched(self.net, &self.routing, &scope, self.budget);
             }
         }
         applied
+    }
+}
+
+impl ShardRoutes<UpDownRouting> for DynState<'_> {
+    type Out = Vec<u64>;
+
+    fn routes(&self) -> (&Candidates, &UpDownRouting) {
+        (&self.candidates, &self.routing)
+    }
+
+    /// Every shard applies the same due events to its own replica
+    /// before stepping — pure replicated computation, no cross-shard
+    /// coordination — then snapshots `delivered` at epoch boundaries.
+    fn begin_cycle(&mut self, st: &mut ShardState, now: u64) {
+        if self.apply_due(now) {
+            st.head_route.fill(HEAD_NONE);
+        }
+        if now > 0 && now.is_multiple_of(self.epoch_len) && now / self.epoch_len < self.epochs {
+            self.marks.push(st.delivered);
+        }
+    }
+
+    fn finish(mut self, st: &ShardState) -> Vec<u64> {
+        self.marks.push(st.delivered);
+        self.marks
     }
 }
 
@@ -266,32 +293,10 @@ impl<'a> Simulation<'a, UpDownRouting> {
     /// at cycle boundaries while traffic flows. `clos` must be the
     /// pristine topology this simulation's network and oracle were
     /// built from. The measurement is reported in `epochs` equal
-    /// time slices alongside the usual end-of-run statistics. The shard
-    /// count comes from [`rfc_parallel::current_shards`]; results are
-    /// byte-identical at any value.
-    pub fn run_churn(
-        &self,
-        clos: &FoldedClos,
-        schedule: &FaultSchedule,
-        pattern: TrafficPattern,
-        offered_load: f64,
-        seed: u64,
-        epochs: usize,
-    ) -> ChurnResult {
-        self.run_churn_sharded_scratch(
-            clos,
-            schedule,
-            pattern,
-            offered_load,
-            seed,
-            epochs,
-            rfc_parallel::current_shards(),
-            &mut RunScratch::new(),
-        )
-    }
-
-    /// [`Simulation::run_churn`] with an explicit shard count and
-    /// caller-owned buffers.
+    /// time slices alongside the usual end-of-run statistics. Runs on
+    /// `shards` shards over caller-owned buffers; drivers pass
+    /// [`rfc_parallel::current_shards`] for the ambient count. Results
+    /// are byte-identical at any value.
     #[allow(clippy::too_many_arguments)]
     pub fn run_churn_sharded_scratch(
         &self,
@@ -305,100 +310,14 @@ impl<'a> Simulation<'a, UpDownRouting> {
         scratch: &mut RunScratch,
     ) -> ChurnResult {
         let cfg = *self.config();
-        let net = self.net();
-        let budget = self.table_budget();
-        let v = cfg.virtual_channels;
-        let terminals = net.num_terminals();
-        let shard_count = shards.clamp(1, net.num_switches().max(1));
+        let terminals = self.net().num_terminals();
         let end = cfg.total_cycles();
         let epochs = epochs.clamp(1, (end.max(1)) as usize);
         let epoch_len = (end / epochs as u64).max(1);
-
-        let mut traffic_rng = SmallRng::seed_from_u64(rfc_parallel::child_seed(seed, 1));
-        let traffic = crate::traffic::build(pattern, terminals, end, &mut traffic_rng);
-        let streams = Streams::derive(seed);
-        scratch.reset(net, &cfg, shard_count, streams.inj);
-
-        let p_gen = (offered_load / cfg.packet_length as f64).clamp(0.0, 1.0);
-        let ctx = StepCtx {
-            traffic: &*traffic,
-            streams,
-            p_gen,
-            ln_q: (1.0 - p_gen).ln(),
-            t32: vid(terminals),
-            warmup: cfg.warmup_cycles,
-            end,
-        };
-
-        let marks_per_shard: Vec<Vec<u64>> = {
-            let RunScratch {
-                plan, shard_states, ..
-            } = &mut *scratch;
-            let plan = &*plan;
-            if shard_count == 1 {
-                let mut ds = DynState::new(self, clos);
-                let st = &mut shard_states[0];
-                for now in 0..end {
-                    if ds.apply_due(net, schedule, budget, now) {
-                        st.head_route.fill(HEAD_NONE);
-                    }
-                    if now > 0 && now % epoch_len == 0 && now / epoch_len < epochs as u64 {
-                        ds.marks.push(st.delivered);
-                    }
-                    self.step_shard_with(&ds.candidates, &ds.routing, plan, 0, st, &[], &ctx, now);
-                }
-                ds.marks.push(st.delivered);
-                vec![ds.marks]
-            } else {
-                let dyn_states: Vec<DynState> = (0..shard_count)
-                    .map(|_| DynState::new(self, clos))
-                    .collect();
-                let mut workers: Vec<(&mut ShardState, DynState)> =
-                    shard_states.iter_mut().zip(dyn_states).collect();
-                let mailboxes = new_mailboxes(shard_count * shard_count);
-                let mailboxes = &mailboxes[..];
-                let barrier = rfc_parallel::SpinBarrier::new(shard_count);
-                let barrier = &barrier;
-                let ctx = &ctx;
-                rfc_parallel::run_shard_workers(&mut workers, move |me, worker| {
-                    let (st, ds) = worker;
-                    let _poison = barrier.guard();
-                    for now in 0..end {
-                        // Every shard applies the same due events to its
-                        // own replica before stepping — pure replicated
-                        // computation, no cross-shard coordination.
-                        // xtask: lockstep-begin — runs between the
-                        // previous cycle's drain barrier and this
-                        // cycle's send barrier; no locks, channels,
-                        // sleeps, blocking I/O, or SeqCst here
-                        if ds.apply_due(net, schedule, budget, now) {
-                            st.head_route.fill(HEAD_NONE);
-                        }
-                        if now > 0 && now % epoch_len == 0 && now / epoch_len < epochs as u64 {
-                            ds.marks.push(st.delivered);
-                        }
-                        // xtask: lockstep-end
-                        self.step_shard_with(
-                            &ds.candidates,
-                            &ds.routing,
-                            plan,
-                            me,
-                            st,
-                            mailboxes,
-                            ctx,
-                            now,
-                        );
-                        barrier.wait();
-                        drain_mailboxes(plan, me, st, mailboxes, v);
-                        barrier.wait();
-                    }
-                    ds.marks.push(st.delivered);
-                });
-                workers.into_iter().map(|(_, ds)| ds.marks).collect()
-            }
-        };
-
-        let (result, _probes) = self.merge_stats(offered_load, scratch);
+        let (result, marks_per_shard) =
+            self.drive(pattern, offered_load, seed, shards, scratch, || {
+                DynState::new(self, clos, schedule, epoch_len, epochs as u64)
+            });
 
         // Per-epoch accepted load from the merged delivery snapshots.
         let mut epoch_accepted = Vec::with_capacity(epochs);
@@ -499,20 +418,7 @@ pub fn repair_speedup(
             continue;
         }
         let scope = repaired.apply_event(live.current(), &ev);
-        let patched = match sim.candidates() {
-            Candidates::Table(old) => Simulation::patch_table(
-                &net,
-                &repaired,
-                old,
-                &PatchScope {
-                    dirty: &scope.table_dirty,
-                    full: &scope.endpoints,
-                    dst_delta: &scope.dst_delta,
-                },
-                budget,
-            ),
-            Candidates::Live => None,
-        };
+        let patched = sim.candidates().patched(&net, &repaired, &scope, budget);
         incremental += t0.elapsed();
         std::hint::black_box(&patched);
 
@@ -579,20 +485,8 @@ mod tests {
             let scope = repaired.apply_event(live.current(), &ev);
             t_apply += t0.elapsed();
             let t1 = Instant::now();
-            if let Candidates::Table(old) = sim.candidates() {
-                let p = Simulation::patch_table(
-                    &net,
-                    &repaired,
-                    old,
-                    &PatchScope {
-                        dirty: &scope.table_dirty,
-                        full: &scope.endpoints,
-                        dst_delta: &scope.dst_delta,
-                    },
-                    budget,
-                );
-                std::hint::black_box(&p);
-            }
+            let p = sim.candidates().patched(&net, &repaired, &scope, budget);
+            std::hint::black_box(&p);
             t_patch += t1.elapsed();
             let t2 = Instant::now();
             let rebuilt = UpDownRouting::new(live.current());
@@ -606,7 +500,7 @@ mod tests {
         println!(
             "apply_event {t_apply:?}  patch {t_patch:?}  routing_rebuild {t_routing:?}  table_rebuild {t_table:?}"
         );
-        if let Candidates::Table(t) = sim.candidates() {
+        if let Some(t) = sim.candidates().table() {
             println!(
                 "switches {}  rows {}  runs {}  ports {}",
                 net.num_switches(),
@@ -637,13 +531,15 @@ mod tests {
         let cfg = churn_cfg();
         let sim = Simulation::new(&net, &routing, cfg);
         let plain = sim.run(TrafficPattern::Uniform, 0.5, 11);
-        let churn = sim.run_churn(
+        let churn = sim.run_churn_sharded_scratch(
             &clos,
             &FaultSchedule::empty(),
             TrafficPattern::Uniform,
             0.5,
             11,
             4,
+            1,
+            &mut RunScratch::new(),
         );
         assert_eq!(churn.result, plain, "no events => identical run");
         assert_eq!(churn.events_applied, 0);
@@ -711,21 +607,66 @@ mod tests {
             let sim = Simulation::new(&net, &routing, cfg);
             let schedule = FaultSchedule::poisson(clos, rate, 200.0, horizon, seed);
             assert!(schedule.len() > 6);
-            let mut ds = DynState::new(&sim, clos);
+            let mut ds = DynState::new(&sim, clos, &schedule, 1, 1);
             let mut checked = 0;
             for (cycle, _) in schedule.events().iter() {
-                ds.apply_due(&net, &schedule, sim.table_budget(), *cycle);
+                ds.apply_due(*cycle);
                 let fresh = Simulation::new(&net, &ds.routing, cfg);
-                match (&ds.candidates, fresh.candidates()) {
-                    (Candidates::Table(patched), Candidates::Table(built)) => {
-                        assert_eq!(patched, built, "patched table diverged at cycle {cycle}");
-                    }
-                    (Candidates::Live, Candidates::Live) => {}
-                    (a, b) => panic!("candidate kinds diverged: {a:?} vs {b:?}"),
-                }
+                assert_eq!(
+                    ds.candidates.table(),
+                    fresh.candidates().table(),
+                    "patched table diverged at cycle {cycle}"
+                );
                 checked += 1;
             }
             assert!(checked > 6);
+        }
+    }
+
+    #[test]
+    fn mid_run_fallback_to_live_matches_a_live_run() {
+        // Under a budget of exactly the fresh table's bytes the build
+        // materializes, and the first applied event grows the patched
+        // table past it: from then on the replicas query the oracle live,
+        // so every head summary's key changes meaning (row id → target
+        // switch). The run must equal one on live queries throughout.
+        let (clos, net, routing) = setup(6, 3);
+        let cfg = churn_cfg();
+        let bytes = Simulation::new(&net, &routing, cfg)
+            .candidate_table_bytes()
+            .expect("the table fits the default budget");
+        let exact = Simulation::with_table_budget(&net, &routing, cfg, bytes);
+        assert_eq!(exact.candidate_table_bytes(), Some(bytes));
+        let live = Simulation::with_table_budget(&net, &routing, cfg, 0);
+        // The first link whose failure grows the table.
+        let mut links = clos.links();
+        links.sort_unstable();
+        let mid = cfg.total_cycles() / 3;
+        let schedule = links
+            .iter()
+            .map(|&l| FaultSchedule::new(vec![(mid, LinkEvent::fail(l))]))
+            .find(|schedule| {
+                let mut ds = DynState::new(&exact, &clos, schedule, 1, 1);
+                ds.apply_due(mid) && ds.candidates.table().is_none()
+            })
+            .expect("some failure grows the cft(6,3) table");
+        let mut scratch = RunScratch::new();
+        for shards in [1usize, 2] {
+            let run = |sim: &Simulation<'_, UpDownRouting>, scratch: &mut RunScratch| {
+                sim.run_churn_sharded_scratch(
+                    &clos,
+                    &schedule,
+                    TrafficPattern::Uniform,
+                    0.6,
+                    5,
+                    4,
+                    shards,
+                    scratch,
+                )
+            };
+            let fallback = run(&exact, &mut scratch);
+            assert_eq!(fallback.events_applied, 1);
+            assert_eq!(fallback, run(&live, &mut scratch), "{shards} shard(s)");
         }
     }
 
@@ -764,7 +705,16 @@ mod tests {
             faults.iter().map(|&l| (mid, LinkEvent::fail(l))).collect();
         events.extend(faults.iter().map(|&l| (rec, LinkEvent::recover(l))));
         let schedule = FaultSchedule::new(events);
-        let churn = sim.run_churn(&clos, &schedule, TrafficPattern::Uniform, 0.6, 3, 6);
+        let churn = sim.run_churn_sharded_scratch(
+            &clos,
+            &schedule,
+            TrafficPattern::Uniform,
+            0.6,
+            3,
+            6,
+            1,
+            &mut RunScratch::new(),
+        );
         let plain = sim.run(TrafficPattern::Uniform, 0.6, 3);
         assert!(churn.availability < 1.0);
         assert!(churn.events_applied >= 2);

@@ -47,6 +47,7 @@ use crate::shard::{
     reservoir_offer, u8_of, Event, MailboxCell, Request, Sample, ShardMsg, ShardPlan, ShardState,
     Streams, NO_PORT, NO_REQ,
 };
+use crate::table::{Candidates, RleTable, TABLE_BUDGET};
 use crate::traffic::TrafficModel;
 use crate::{RequestMode, SimConfig, SimResult, TrafficPattern};
 
@@ -88,9 +89,9 @@ fn geometric_gap(rng: &mut SmallRng, ln_q: f64) -> usize {
     ((1.0 - u).ln() / ln_q) as usize
 }
 
-/// Uniform candidate pick shared by the request stage's table and live
-/// paths — both must consume the draw identically for the materialized
-/// table to be a pure cache. `h` is the slot's stateless per-cycle draw;
+/// The request stage's candidate pick; table and live candidates share
+/// it, so both consume the draw identically and the materialized table
+/// stays a pure cache. `h` is the slot's stateless per-cycle draw;
 /// its low half picks the candidate (the high half is reserved for the
 /// target-VC start). `target` yields the routing target; only the hash
 /// mode calls it.
@@ -156,8 +157,8 @@ fn routing_target(head: &Packet, dst_switch_of_terminal: &[u32]) -> u32 {
 /// A head packet's resolved route at its current switch (DESIGN.md §10,
 /// "Head summaries"). It depends only on the packet and the candidate
 /// structure, neither of which changes while the packet waits at the
-/// head of its queue, so the table path caches it per VC slot, packed
-/// into a `u32` ([`HeadRoute::pack`]).
+/// head of its queue, so the request stage caches it per VC slot,
+/// packed into a `u32` ([`HeadRoute::pack`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct HeadRoute {
     /// The ejection port when `eject`; else the candidate row: the
@@ -210,15 +211,13 @@ impl HeadRoute {
 
 /// Resolves the route of `head`, waiting at `switch`: applies the
 /// Valiant phase transition in place (the intermediate has been
-/// reached), then names the ejection port or the candidate row — the
-/// table's row id (the run binary search) when `table` is given, the
-/// routing target otherwise. The single place a head's route is
-/// derived.
+/// reached), then names the ejection port or the candidate row
+/// ([`Candidates::key`]). The single place a head's route is derived.
 #[inline]
 fn resolve_head(
     head: &mut Packet,
     switch: u32,
-    table: Option<&RleTable>,
+    candidates: &Candidates,
     net: &SimNetwork,
 ) -> HeadRoute {
     if head.via_switch == switch {
@@ -233,443 +232,60 @@ fn resolve_head(
         }
     } else {
         HeadRoute {
-            key: table.map_or(target, |t| t.row_id(switch, target)),
+            key: candidates.key(switch, target),
             eject: false,
             phase0: head.via_switch != NO_VIA,
         }
     }
 }
 
-/// Precomputed ECMP candidate lists. Routing oracles are deterministic
-/// per `(switch, destination)` pair, and the request stage queries them
-/// for every head packet every cycle — so for all but huge networks the
-/// answers are materialized once, fully *resolved to output ports*,
-/// removing the per-request neighbor binary search from the cycle loop.
-#[derive(Debug, Clone)]
-pub(crate) enum Candidates {
-    /// Materialized, deduplicated, run-length-compressed table.
-    Table(RleTable),
-    /// Table would exceed the byte budget (or its offsets would overflow
-    /// `u32`); query the oracle live.
-    Live,
-}
-
-/// The deduplicated candidate table (DESIGN.md §15).
-///
-/// Three compressions stack on the old `switches × dst_space` matrix:
-///
-/// 1. **Rows resolve once** — a row is the out-port list one `(switch,
-///    dst)` query yields, in oracle order (the cached-vs-live agreement
-///    contract depends on that order).
-/// 2. **Rows intern per switch** — a switch's identical rows share one
-///    entry in the `row_off`/`row_ports` pool, so a switch contributes
-///    one entry per *distinct* answer. Rows hold the switch's own
-///    global out-port ids, so two switches' non-empty rows never
-///    coincide: only the empty row ("unroutable") is shared pool-wide.
-/// 3. **Columns run-length-compress** — per switch, destinations with
-///    the same row collapse into `[start, next_start)` runs, which
-///    folded-Clos reach sets keep to a few dozen per switch regardless
-///    of the destination count.
-///
-/// Lookup is a binary search over the switch's runs (few dozen entries,
-/// ~5 probes) instead of one flat index — measurably free next to the
-/// draw + arbitration work per request.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct RleTable {
-    pub(crate) dst_space: usize,
-    /// Runs of switch `s` live at `col_off[s] .. col_off[s+1]` in the
-    /// two parallel run arrays.
-    pub(crate) col_off: Vec<u32>,
-    /// Ascending first-destination of each run; the first run of every
-    /// switch starts at 0, the last extends to `dst_space`.
-    pub(crate) runs_start: Vec<u32>,
-    /// Interned row id of each run.
-    pub(crate) runs_row: Vec<u32>,
-    /// Row `r`'s resolved out-ports live at `row_off[r] .. row_off[r+1]`
-    /// in `row_ports`.
-    pub(crate) row_off: Vec<u32>,
-    pub(crate) row_ports: Vec<u32>,
-}
-
-impl RleTable {
-    /// The interned row id for `(switch, dst)`: a binary search over
-    /// the switch's runs.
-    #[inline]
-    fn row_id(&self, switch: u32, dst: u32) -> u32 {
-        let lo = self.col_off[switch as usize] as usize;
-        let hi = self.col_off[switch as usize + 1] as usize;
-        let runs = &self.runs_start[lo..hi];
-        // Last run starting at or before dst; every switch's first run
-        // starts at 0, so the subtraction cannot underflow.
-        self.runs_row[lo + runs.partition_point(|&s| s <= dst) - 1]
-    }
-
-    /// The resolved out-ports for `(switch, dst)`; empty when unroutable.
-    #[inline]
-    fn row(&self, switch: u32, dst: u32) -> &[u32] {
-        self.pool_row(self.row_id(switch, dst) as usize)
-    }
-
-    /// Row `r` of the pool.
-    #[inline]
-    fn pool_row(&self, r: usize) -> &[u32] {
-        &self.row_ports[self.row_off[r] as usize..self.row_off[r + 1] as usize]
-    }
-
-    /// Logical bytes of the five arrays — the quantity checked against
-    /// the build budget and reported to the memory ratchet.
-    fn bytes(&self) -> usize {
-        rfc_graph::slice_heap_bytes(&self.col_off)
-            + rfc_graph::slice_heap_bytes(&self.runs_start)
-            + rfc_graph::slice_heap_bytes(&self.runs_row)
-            + rfc_graph::slice_heap_bytes(&self.row_off)
-            + rfc_graph::slice_heap_bytes(&self.row_ports)
-    }
-}
-
-/// A fresh, zero-switch [`RleTable`] ready for stitching.
-fn empty_table(dst_space: usize) -> RleTable {
-    RleTable {
-        dst_space,
-        col_off: vec![0u32],
-        runs_start: Vec::new(),
-        runs_row: Vec::new(),
-        row_off: vec![0u32],
-        row_ports: Vec::new(),
-    }
-}
-
-/// Dirty-region description for [`Simulation::patch_table`], distilled
-/// from a routing repair (`rfc_routing::RepairScope`).
-pub(crate) struct PatchScope<'a> {
-    /// Switches whose columns must be re-derived (sorted, deduplicated).
-    pub dirty: &'a [u32],
-    /// The switches whose *adjacency* changed — their columns are
-    /// recomputed from the oracle in full. Every other dirty switch keeps
-    /// its neighbor lists and can differ only at `dst_delta`
-    /// destinations, so its column is spliced from the old table.
-    pub full: &'a [u32],
-    /// Sorted destinations at which a non-`full` dirty switch's row may
-    /// differ from its pre-event value.
-    pub dst_delta: &'a [u32],
-}
-
-/// Up to this many distinct rows a switch finds a row by linear scan;
-/// past it, through the hashed index. A CFT switch holds about R/2 + 2
-/// distinct rows, and on cft(36,4) scanning up to 16 rows builds the
-/// table faster than hashing from the 9th.
-const SCAN_ROWS: usize = 16;
-
-/// Deterministic content hash of one row (FxHash-style multiply-rotate;
-/// no hasher state, so the index probes identically on every run).
-fn row_hash(ports: &[u32]) -> usize {
-    let mut h = ports.len() as u64;
-    for &p in ports {
-        h = (h.rotate_left(5) ^ u64::from(p)).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-    // The multiply mixes upward; fold the high half into the low bits
-    // the slot mask keeps.
-    (h ^ (h >> 32)) as usize
-}
-
-/// One switch's runs with switch-locally interned rows.
-struct SwitchRuns {
-    starts: Vec<u32>,
-    /// Index into the local row pool, per run.
-    rows: Vec<u32>,
-    local_off: Vec<u32>,
-    local_ports: Vec<u32>,
-    /// Open-addressed index over the local rows, built once the pool
-    /// outgrows [`SCAN_ROWS`]: a slot holds local id + 1 (0 = vacant),
-    /// and the length is a power of two at least twice the row count.
-    slots: Vec<u32>,
-}
-
-impl SwitchRuns {
-    fn empty() -> Self {
-        SwitchRuns {
-            starts: Vec::new(),
-            rows: Vec::new(),
-            local_off: vec![0u32],
-            local_ports: Vec::new(),
-            slots: Vec::new(),
-        }
-    }
-
-    /// Resets to empty, keeping allocations — the patch loop reuses one
-    /// instance across every dirty switch.
-    fn clear(&mut self) {
-        self.starts.clear();
-        self.rows.clear();
-        self.local_off.clear();
-        self.local_off.push(0);
-        self.local_ports.clear();
-        self.slots.clear();
-    }
-
-    fn num_rows(&self) -> usize {
-        self.local_off.len() - 1
-    }
-
-    fn local_row(&self, r: usize) -> &[u32] {
-        &self.local_ports[self.local_off[r] as usize..self.local_off[r + 1] as usize]
-    }
-
-    /// The slot `ports` occupies in the hashed index, or the vacant slot
-    /// where it would go.
-    fn probe(&self, ports: &[u32]) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut i = row_hash(ports) & mask;
-        loop {
-            let s = self.slots[i];
-            if s == 0 || self.local_row(s as usize - 1) == ports {
-                return i;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// (Re)builds the hashed index with a power-of-two slot count at
-    /// least twice the row count.
-    fn rehash(&mut self) {
-        let cap = (2 * self.num_rows()).next_power_of_two().max(2 * SCAN_ROWS);
-        self.slots.clear();
-        self.slots.resize(cap, 0);
-        for r in 0..self.num_rows() {
-            let i = self.probe(self.local_row(r));
-            self.slots[i] = vid(r + 1);
-        }
-    }
-
-    /// The local id of `resolved`, interning it on first sight.
-    fn intern(&mut self, resolved: &[u32]) -> u32 {
-        let n = self.num_rows();
-        if n <= SCAN_ROWS {
-            if let Some(r) = (0..n).find(|&r| self.local_row(r) == resolved) {
-                return vid(r);
-            }
-        } else {
-            let i = self.probe(resolved);
-            if self.slots[i] != 0 {
-                return self.slots[i] - 1;
-            }
-        }
-        self.local_ports.extend_from_slice(resolved);
-        self.local_off.push(vid(self.local_ports.len()));
-        if n + 1 > SCAN_ROWS {
-            if 2 * (n + 1) > self.slots.len() {
-                self.rehash();
-            } else {
-                let i = self.probe(resolved);
-                self.slots[i] = vid(n + 1);
-            }
-        }
-        vid(n)
-    }
-
-    /// Appends one run, interning its row locally and merging runs whose
-    /// rows turn out equal.
-    fn push_run(&mut self, start: u32, resolved: &[u32]) {
-        // Reach-set boundaries often split a run without changing its
-        // answer; catch that before touching the index.
-        if let Some(&last) = self.rows.last() {
-            if self.local_row(last as usize) == resolved {
-                return;
-            }
-        }
-        let local = self.intern(resolved);
-        if self.rows.last() == Some(&local) {
-            return;
-        }
-        self.starts.push(start);
-        self.rows.push(local);
-    }
-}
-
-/// Resolves one switch's oracle answers to out-port runs.
-fn switch_runs<O: RoutingOracle + ?Sized>(
-    net: &SimNetwork,
-    oracle: &O,
-    switch: u32,
-    dst32: u32,
-) -> SwitchRuns {
-    let mut sr = SwitchRuns::empty();
-    let mut resolved: Vec<u32> = Vec::new();
-    switch_runs_into(net, oracle, switch, dst32, &mut sr, &mut resolved);
-    sr
-}
-
-/// Resolves next-hop switch ids into `switch`'s out-port numbers,
-/// overwriting `resolved`.
-///
-/// # Panics
-///
-/// Panics if a hop is not a neighbor of `switch` — the oracle and the
-/// network disagree about adjacency, which no repair can make sound.
-fn resolve_out_ports(net: &SimNetwork, switch: u32, hops: &[u32], resolved: &mut Vec<u32>) {
-    resolved.clear();
-    for &hop in hops {
-        let out = net
-            .out_port_to(switch, hop)
-            .expect("oracle returned a non-neighbor");
-        resolved.push(out);
-    }
-}
-
-/// [`switch_runs`] writing into caller-owned buffers (cleared first).
-fn switch_runs_into<O: RoutingOracle + ?Sized>(
-    net: &SimNetwork,
-    oracle: &O,
-    switch: u32,
-    dst32: u32,
-    sr: &mut SwitchRuns,
-    resolved: &mut Vec<u32>,
-) {
-    sr.clear();
-    oracle.for_each_dst_run(switch, dst32, &mut |start, hops| {
-        resolve_out_ports(net, switch, hops, resolved);
-        sr.push_run(start, resolved);
-    });
-}
-
-/// Rebuilds one *dirty but adjacency-stable* switch's runs by splicing:
-/// the old column is kept wholesale except at `delta` destinations,
-/// where the row is re-resolved against the repaired oracle. Sound
-/// because such a switch's row can change only where a consulted reach
-/// set's membership changed (see `rfc_routing::RepairScope::dst_delta`);
-/// [`SwitchRuns::push_run`] re-merges equal neighbors, so the result is
-/// byte-identical to a full [`switch_runs`] re-derivation.
-#[allow(clippy::too_many_arguments)]
-fn splice_runs_into<O: RoutingOracle + ?Sized>(
-    net: &SimNetwork,
-    oracle: &O,
-    old: &RleTable,
-    switch: u32,
-    delta: &[u32],
-    dst32: u32,
-    sr: &mut SwitchRuns,
-    hops: &mut Vec<u32>,
-    resolved: &mut Vec<u32>,
-) {
-    sr.clear();
-    let lo = old.col_off[switch as usize] as usize;
-    let hi = old.col_off[switch as usize + 1] as usize;
-    let mut di = delta.partition_point(|&d| d < old.runs_start.get(lo).copied().unwrap_or(0));
-    for k in lo..hi {
-        let a = old.runs_start[k];
-        let b = if k + 1 < hi {
-            old.runs_start[k + 1]
-        } else {
-            dst32
-        };
-        let content = old.pool_row(old.runs_row[k] as usize);
-        let mut pos = a;
-        while di < delta.len() && delta[di] < b {
-            let d = delta[di];
-            di += 1;
-            if pos < d {
-                sr.push_run(pos, content);
-            }
-            hops.clear();
-            oracle.next_hops_into(switch, d, hops);
-            resolve_out_ports(net, switch, hops, resolved);
-            sr.push_run(d, resolved);
-            pos = d + 1;
-        }
-        if pos < b {
-            sr.push_run(pos, content);
-        }
-    }
-}
-
-/// Appends one row's ports to the shared pool, returning its id.
-/// `None` on `u32` overflow (callers fall back to live queries).
-fn append_row(table: &mut RleTable, ports: &[u32]) -> Option<u32> {
-    let id = u32::try_from(table.row_off.len() - 1).ok()?;
-    table.row_ports.extend_from_slice(ports);
-    table
-        .row_off
-        .push(u32::try_from(table.row_ports.len()).ok()?);
-    Some(id)
-}
-
-/// Appends one switch's locally interned rows and runs to `table`, in
-/// local first-appearance order. Non-empty rows are switch-private, so
-/// each is appended as is; the empty row is pool-wide, and `empty_row`
-/// holds its id (`u32::MAX` until first seen). Returns `None` on `u32`
-/// overflow (the caller falls back to live queries).
-fn stitch_switch(table: &mut RleTable, empty_row: &mut u32, sr: &SwitchRuns) -> Option<()> {
-    let mut global_of_local: Vec<u32> = Vec::with_capacity(sr.num_rows());
-    for r in 0..sr.num_rows() {
-        let ports = sr.local_row(r);
-        let id = if !ports.is_empty() {
-            append_row(table, ports)?
-        } else {
-            if *empty_row == u32::MAX {
-                *empty_row = append_row(table, ports)?;
-            }
-            *empty_row
-        };
-        global_of_local.push(id);
-    }
-    table.runs_start.extend_from_slice(&sr.starts);
-    table
-        .runs_row
-        .extend(sr.rows.iter().map(|&local| global_of_local[local as usize]));
-    table
-        .col_off
-        .push(u32::try_from(table.runs_start.len()).ok()?);
-    Some(())
-}
-
-impl rfc_graph::HeapBytes for Candidates {
-    fn heap_bytes(&self) -> usize {
-        match self {
-            Candidates::Table(t) => t.bytes(),
-            Candidates::Live => 0,
-        }
-    }
-}
-
-/// Above this many *bytes* of table arrays the build aborts and the
-/// simulation queries the oracle live. The deduplicated encoding keeps
-/// even the paper's Table 3 scale (cft(36,4), 209,952 terminals) around
-/// a dozen MB, so this is headroom, not a target.
-const TABLE_BUDGET: usize = 64 << 20;
-
-/// Switches in the first parallel round of a table build (see
-/// [`Simulation::build_table`]); later rounds double from here.
-const FIRST_CHUNK: usize = 16;
-
-/// Largest parallel round of a table build, bounding how many derived
-/// switches are held at once.
-const MAX_CHUNK: usize = 4096;
-
-/// Destination ids a candidate table covers: every switch up to the
-/// highest one hosting a terminal.
-fn dst_space(net: &SimNetwork) -> usize {
-    net.dst_switch_of_terminal
-        .iter()
-        .copied()
-        .max()
-        .map_or(0, |m| m as usize + 1)
-}
-
 /// The per-cycle read-only context shared by every shard worker.
 #[derive(Debug)]
-pub(crate) struct StepCtx<'t> {
-    pub(crate) traffic: &'t dyn TrafficModel,
-    pub(crate) streams: Streams,
-    pub(crate) p_gen: f64,
+struct StepCtx<'t> {
+    traffic: &'t dyn TrafficModel,
+    streams: Streams,
+    p_gen: f64,
     /// Precomputed `ln(1 - p_gen)`; see [`geometric_gap`].
-    pub(crate) ln_q: f64,
+    ln_q: f64,
     /// Terminal count, for the Valiant intermediate pick.
-    pub(crate) t32: u32,
-    pub(crate) warmup: u64,
-    pub(crate) end: u64,
+    t32: u32,
+    warmup: u64,
+    end: u64,
 }
 
-/// Reusable per-run buffers for [`Simulation::run_scratch`].
+/// The routing state one shard steps against, and its work at each
+/// cycle boundary (DESIGN.md §13). Plain runs share the simulation's
+/// candidates and oracle and do nothing at the boundary; churn runs
+/// give every shard its own repaired replica ([`crate::churn`]).
+pub(crate) trait ShardRoutes<O>: Send {
+    /// What the state reports once the run is over.
+    type Out;
+
+    /// The candidates and oracle this cycle's requests resolve against.
+    fn routes(&self) -> (&Candidates, &O);
+
+    /// Runs before shard state `st` steps cycle `now`, between the
+    /// previous cycle's drain barrier and this cycle's send barrier.
+    fn begin_cycle(&mut self, _st: &mut ShardState, _now: u64) {}
+
+    /// Consumes the state after the last cycle, given its shard's final
+    /// state. Runs before the statistics merge, so the merge buffers can
+    /// reuse the memory the state frees.
+    fn finish(self, st: &ShardState) -> Self::Out;
+}
+
+impl<O: Sync> ShardRoutes<O> for (&Candidates, &O) {
+    type Out = ();
+
+    fn routes(&self) -> (&Candidates, &O) {
+        *self
+    }
+
+    fn finish(self, _st: &ShardState) {}
+}
+
+/// Reusable per-run buffers for [`Simulation::run_sharded_scratch`] and
+/// [`Simulation::run_churn_sharded_scratch`].
 ///
 /// A run needs packet rings, credit counters, event wheels, request
 /// chains, and the latency reservoirs — allocations whose sizes depend
@@ -769,9 +385,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
         budget: usize,
     ) -> Self {
         config.assert_valid();
-        let candidates = Self::build_table(net, oracle, dst_space(net), budget)
-            .0
-            .map_or(Candidates::Live, Candidates::Table);
+        let candidates = Candidates::build(net, oracle, budget);
         Self {
             net,
             oracle,
@@ -779,164 +393,6 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
             candidates,
             table_budget: budget,
         }
-    }
-
-    /// Builds the deduplicated candidate table, or `None` when the byte
-    /// budget is exceeded or an index would overflow `u32` — both fall
-    /// back to live oracle queries rather than wrapping silently.
-    ///
-    /// Switches are derived in parallel rounds over the shared worker
-    /// pool (`rfc_parallel`) and stitched serially *in switch order*, so
-    /// the arrays are byte-identical to a serial build at any thread
-    /// count. The rounds grow geometrically: the first derives
-    /// [`FIRST_CHUNK`] switches, each later one as many as are already
-    /// stitched (at most [`MAX_CHUNK`]). The budget is checked after
-    /// every stitched switch, so an over-budget build derives at most
-    /// `max(FIRST_CHUNK, 2 × stitched)` switches before bailing, at any
-    /// thread count.
-    ///
-    /// Also returns how many switches were derived and how many stitched
-    /// (the last one stitched is the one that crossed the budget, if
-    /// any), for the tests that hold the build to that bound.
-    fn build_table(
-        net: &SimNetwork,
-        oracle: &O,
-        dst_space: usize,
-        budget: usize,
-    ) -> (Option<RleTable>, usize, usize) {
-        if budget == 0 {
-            return (None, 0, 0);
-        }
-        let dst32 = vid(dst_space);
-        let n = net.num_switches();
-        let mut table = empty_table(dst_space);
-        let mut empty_row = u32::MAX;
-        let mut done = 0usize;
-        while done < n {
-            let end = n.min(done + done.clamp(FIRST_CHUNK, MAX_CHUNK));
-            let per_switch: Vec<SwitchRuns> =
-                rfc_parallel::map((done..end).map(vid).collect(), |switch| {
-                    switch_runs(net, oracle, switch, dst32)
-                });
-            for (i, sr) in per_switch.into_iter().enumerate() {
-                if stitch_switch(&mut table, &mut empty_row, &sr).is_none()
-                    || table.bytes() > budget
-                {
-                    return (None, end, done + i + 1);
-                }
-            }
-            done = end;
-        }
-        (Some(table), n, n)
-    }
-
-    /// Region-scoped table repair: rebuilds only the `dirty` switches'
-    /// runs against the (already repaired) `oracle`, reuses every clean
-    /// switch's runs from `old`, and renumbers the row pool in the same
-    /// first-appearance order a fresh [`Simulation::build_table`] would
-    /// produce — so the result is byte-identical to a from-scratch build
-    /// over the new oracle.
-    ///
-    /// Rows are switch-private except the empty one, so a dirty switch's
-    /// rows need no lookup against the old pool: they are appended like
-    /// a fresh build's, and only the empty row rejoins its old identity.
-    ///
-    /// Returns `None` on budget/overflow exhaustion, the same live-query
-    /// fallback as the full build.
-    pub(crate) fn patch_table(
-        net: &SimNetwork,
-        oracle: &O,
-        old: &RleTable,
-        scope: &PatchScope<'_>,
-        budget: usize,
-    ) -> Option<RleTable> {
-        if budget == 0 {
-            return None;
-        }
-        let dst32 = vid(old.dst_space);
-        let old_rows = old.row_off.len() - 1;
-        // Old row id → id in the rebuilt pool, assigned lazily in the
-        // new scan's first-appearance order (`u32::MAX` = unseen; real
-        // ids stay far below it under any byte budget). Rows of clean
-        // switches renumber through this array alone — one indexed load
-        // per run — which is what makes a patch an order of magnitude
-        // cheaper than a rebuild.
-        let mut old_to_new: Vec<u32> = vec![u32::MAX; old_rows];
-        // The shared empty row: dirty switches reach it through the old
-        // row's slot (clean switches renumber it there), or through a
-        // slot of their own when the old pool never held it.
-        let old_empty = (0..old_rows).find(|&r| old.pool_row(r).is_empty());
-        let mut fresh_empty = u32::MAX;
-        let mut table = empty_table(old.dst_space);
-        // A single-event patch shifts sizes by at most a few rows; old's
-        // footprint is the right capacity to within a reallocation.
-        table.runs_start.reserve(old.runs_start.len() + 8);
-        table.runs_row.reserve(old.runs_row.len() + 8);
-        table.row_ports.reserve(old.row_ports.len() + 64);
-        table.row_off.reserve(old.row_off.len() + 8);
-        table.col_off.reserve(old.col_off.len());
-        // `scope.dirty` arrives sorted and deduplicated (`RepairScope`
-        // collects from a set), so one cursor tracks it in switch order.
-        // All dirty-switch work reuses one set of scratch buffers.
-        let mut scratch = SwitchRuns::empty();
-        let mut hops: Vec<u32> = Vec::new();
-        let mut resolved: Vec<u32> = Vec::new();
-        let mut next_dirty = 0usize;
-        for switch in 0..net.num_switches() {
-            let is_dirty =
-                next_dirty < scope.dirty.len() && scope.dirty[next_dirty] as usize == switch;
-            if is_dirty {
-                next_dirty += 1;
-                let sw32 = vid(switch);
-                if scope.full.contains(&sw32) {
-                    switch_runs_into(net, oracle, sw32, dst32, &mut scratch, &mut resolved);
-                } else {
-                    splice_runs_into(
-                        net,
-                        oracle,
-                        old,
-                        sw32,
-                        scope.dst_delta,
-                        dst32,
-                        &mut scratch,
-                        &mut hops,
-                        &mut resolved,
-                    );
-                }
-                let empty_row = match old_empty {
-                    Some(e) => &mut old_to_new[e],
-                    None => &mut fresh_empty,
-                };
-                stitch_switch(&mut table, empty_row, &scratch)?;
-            } else {
-                // Clean switch: runs are unchanged, rows keep their old
-                // content identity and renumber at first encounter. Run
-                // order *is* local first-appearance order (push_run
-                // assigns local ids that way), so the ids land exactly
-                // where a fresh `stitch_switch` would put them.
-                let lo = old.col_off[switch] as usize;
-                let hi = old.col_off[switch + 1] as usize;
-                table.runs_start.extend_from_slice(&old.runs_start[lo..hi]);
-                for k in lo..hi {
-                    let old_id = old.runs_row[k] as usize;
-                    let id = if old_to_new[old_id] == u32::MAX {
-                        let id = append_row(&mut table, old.pool_row(old_id))?;
-                        old_to_new[old_id] = id;
-                        id
-                    } else {
-                        old_to_new[old_id]
-                    };
-                    table.runs_row.push(id);
-                }
-                table
-                    .col_off
-                    .push(u32::try_from(table.runs_start.len()).ok()?);
-            }
-            if table.bytes() > budget {
-                return None;
-            }
-        }
-        Some(table)
     }
 
     /// Whether any route exists from `switch` toward `dst` — the cheap
@@ -947,18 +403,13 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
     fn has_route_with(
         candidates: &Candidates,
         oracle: &O,
+        net: &SimNetwork,
         switch: u32,
         dst: u32,
         buf: &mut Vec<u32>,
     ) -> bool {
-        match candidates {
-            Candidates::Table(table) => !table.row(switch, dst).is_empty(),
-            Candidates::Live => {
-                buf.clear();
-                oracle.next_hops_into(switch, dst, buf);
-                !buf.is_empty()
-            }
-        }
+        let key = candidates.key(switch, dst);
+        !candidates.ports(switch, key, oracle, net, buf).is_empty()
     }
 
     /// The candidate structure built at construction (shared by every
@@ -986,29 +437,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
     /// the simulation runs on live oracle queries — the table half of
     /// the `routing_bytes_per_terminal` figure (DESIGN.md §15).
     pub fn candidate_table_bytes(&self) -> Option<usize> {
-        match &self.candidates {
-            Candidates::Table(table) => Some(table.bytes()),
-            Candidates::Live => None,
-        }
-    }
-
-    /// The raw table, for the serial-vs-parallel build tests.
-    #[cfg(test)]
-    fn table_parts(&self) -> Option<&RleTable> {
-        match &self.candidates {
-            Candidates::Table(table) => Some(table),
-            Candidates::Live => None,
-        }
-    }
-
-    /// Expanded table row for one `(switch, dst)` pair, for equivalence
-    /// tests against the dense per-destination oracle answers.
-    #[cfg(test)]
-    fn table_row(&self, switch: u32, dst: u32) -> Option<&[u32]> {
-        match &self.candidates {
-            Candidates::Table(table) => Some(table.row(switch, dst)),
-            Candidates::Live => None,
-        }
+        self.candidates.table().map(RleTable::bytes)
     }
 
     /// The configuration in use.
@@ -1021,21 +450,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
     /// count comes from [`rfc_parallel::current_shards`] (`--shards` /
     /// `RFC_SHARDS`); results are identical at any value.
     pub fn run(&self, pattern: TrafficPattern, offered_load: f64, seed: u64) -> SimResult {
-        self.run_with_probes(pattern, offered_load, seed).0
-    }
-
-    /// Like [`Simulation::run`] but reusing the caller's [`RunScratch`]
-    /// instead of allocating fresh per-run buffers — the hot path for
-    /// load sweeps and parallel drivers. Results are identical.
-    pub fn run_scratch(
-        &self,
-        pattern: TrafficPattern,
-        offered_load: f64,
-        seed: u64,
-        scratch: &mut RunScratch,
-    ) -> SimResult {
-        self.run_with_probes_scratch(pattern, offered_load, seed, scratch)
-            .0
+        self.run_sharded(pattern, offered_load, seed, rfc_parallel::current_shards())
     }
 
     /// Like [`Simulation::run`] with an explicit shard count (clamped to
@@ -1051,7 +466,10 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
         self.run_sharded_scratch(pattern, offered_load, seed, shards, &mut RunScratch::new())
     }
 
-    /// [`Simulation::run_sharded`] over caller-owned buffers.
+    /// [`Simulation::run_sharded`] over caller-owned buffers — the hot
+    /// path for load sweeps and parallel drivers, which pass
+    /// [`rfc_parallel::current_shards`] for the ambient shard count.
+    /// Results are identical to a fresh scratch.
     pub fn run_sharded_scratch(
         &self,
         pattern: TrafficPattern,
@@ -1060,7 +478,8 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
         shards: usize,
         scratch: &mut RunScratch,
     ) -> SimResult {
-        self.run_with_probes_sharded_scratch(pattern, offered_load, seed, shards, scratch)
+        let routes = || (&self.candidates, self.oracle);
+        self.drive(pattern, offered_load, seed, shards, scratch, routes)
             .0
     }
 
@@ -1072,31 +491,38 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
         offered_load: f64,
         seed: u64,
     ) -> (SimResult, crate::stats::PortUtilization) {
-        self.run_with_probes_scratch(pattern, offered_load, seed, &mut RunScratch::new())
+        let mut scratch = RunScratch::new();
+        let shards = rfc_parallel::current_shards();
+        let result = self.run_sharded_scratch(pattern, offered_load, seed, shards, &mut scratch);
+        (result, self.probes(&scratch))
     }
 
-    /// [`Simulation::run_with_probes`] over caller-owned buffers, at the
-    /// ambient shard count.
-    pub fn run_with_probes_scratch(
-        &self,
-        pattern: TrafficPattern,
-        offered_load: f64,
-        seed: u64,
-        scratch: &mut RunScratch,
-    ) -> (SimResult, crate::stats::PortUtilization) {
-        self.run_with_probes_sharded_scratch(
-            pattern,
-            offered_load,
-            seed,
-            rfc_parallel::current_shards(),
-            scratch,
-        )
+    /// The port utilization of the last run over `scratch`, from its
+    /// merged busy cycles.
+    fn probes(&self, scratch: &RunScratch) -> crate::stats::PortUtilization {
+        let window = self.config.measure_cycles as f64;
+        let mut link = Vec::new();
+        let mut eject = Vec::new();
+        for (out, &busy) in scratch.busy_global.iter().enumerate() {
+            let utilization = busy as f64 / window;
+            match self.net.out_target[out] {
+                OutTarget::Link { .. } => link.push(utilization),
+                OutTarget::Eject { .. } => eject.push(utilization),
+            }
+        }
+        crate::stats::PortUtilization { link, eject }
     }
 
-    /// The common implementation behind every `run` variant: advances
-    /// `shards` independent shard states in lockstep (inline when
-    /// `shards == 1`, on scoped workers otherwise) and merges per-shard
-    /// statistics in shard order.
+    /// The one cycle driver behind every run, plain or churn: builds
+    /// the traffic state, resets `scratch` for the clamped shard count,
+    /// advances the shards in lockstep and merges their statistics in
+    /// shard order. Each worker owns one shard state and one routing
+    /// state from `routes`; every cycle it runs the routing state's
+    /// boundary hook, steps its shard, then exchanges mailboxes between
+    /// two barrier waits. With one shard the worker runs inline and
+    /// the barrier waits return at once. Returns what each routing
+    /// state reports ([`ShardRoutes::finish`]) with the result, in shard
+    /// order.
     ///
     /// Randomness is organized as independent streams derived from
     /// `seed` (see [`Streams`]): the traffic-state build, per-switch
@@ -1104,94 +530,78 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
     /// streams for routing decisions, arbitration priorities, and
     /// reservoir sampling. No draw depends on event order or on the
     /// partition, which is what makes results shard-count-invariant.
-    pub fn run_with_probes_sharded_scratch(
+    pub(crate) fn drive<R: ShardRoutes<O>>(
         &self,
         pattern: TrafficPattern,
         offered_load: f64,
         seed: u64,
         shards: usize,
         scratch: &mut RunScratch,
-    ) -> (SimResult, crate::stats::PortUtilization) {
+        routes: impl Fn() -> R,
+    ) -> (SimResult, Vec<R::Out>) {
         let cfg = self.config;
         let net = self.net;
         let v = cfg.virtual_channels;
         let terminals = net.num_terminals();
         let shard_count = shards.clamp(1, net.num_switches().max(1));
+        let end = cfg.total_cycles();
 
         let mut traffic_rng = SmallRng::seed_from_u64(rfc_parallel::child_seed(seed, 1));
-        let traffic =
-            crate::traffic::build(pattern, terminals, cfg.total_cycles(), &mut traffic_rng);
+        let traffic = crate::traffic::build(pattern, terminals, end, &mut traffic_rng);
         let streams = Streams::derive(seed);
         scratch.reset(net, &cfg, shard_count, streams.inj);
 
         let p_gen = (offered_load / cfg.packet_length as f64).clamp(0.0, 1.0);
         // Skip-ahead denominator ln(1-p); see `geometric_gap` for the
         // p = 1 limit. Only used when p_gen > 0.
-        let ctx = StepCtx {
+        let ctx = &StepCtx {
             traffic: &*traffic,
             streams,
             p_gen,
             ln_q: (1.0 - p_gen).ln(),
             t32: vid(terminals),
             warmup: cfg.warmup_cycles,
-            end: cfg.total_cycles(),
+            end,
         };
-        let end = ctx.end;
 
         let RunScratch {
             plan, shard_states, ..
-        } = scratch;
+        } = &mut *scratch;
         let plan: &ShardPlan = plan;
-
-        if shard_count == 1 {
-            // No mailboxes, no barriers: every port is local.
-            let st = &mut shard_states[0];
+        let mut workers: Vec<(&mut ShardState, R)> =
+            shard_states.iter_mut().map(|st| (st, routes())).collect();
+        let mailboxes = new_mailboxes(shard_count * shard_count);
+        let mailboxes = &mailboxes[..];
+        let barrier = &rfc_parallel::SpinBarrier::new(shard_count);
+        rfc_parallel::run_shard_workers(&mut workers, move |me, (st, routes)| {
+            // A panic in the cycle loop (engine invariant failure)
+            // poisons the barrier so the other shards fail fast
+            // instead of spinning on a generation that never comes.
+            let _poison = barrier.guard();
             for now in 0..end {
-                self.step_shard_with(&self.candidates, self.oracle, plan, 0, st, &[], &ctx, now);
+                // xtask: lockstep-begin — runs between the previous
+                // cycle's drain barrier and this cycle's send barrier;
+                // no locks, channels, sleeps, blocking I/O, or SeqCst
+                routes.begin_cycle(st, now);
+                // xtask: lockstep-end
+                let (candidates, oracle) = routes.routes();
+                self.step_shard_with(candidates, oracle, plan, me, st, mailboxes, ctx, now);
+                // All sends for this cycle are in the mailboxes…
+                barrier.wait();
+                drain_mailboxes(plan, me, st, mailboxes, v);
+                // …and all drains done before anyone starts cycle
+                // now + 1.
+                barrier.wait();
             }
-        } else {
-            let mailboxes = new_mailboxes(shard_count * shard_count);
-            let mailboxes = &mailboxes[..];
-            let barrier = rfc_parallel::SpinBarrier::new(shard_count);
-            let barrier = &barrier;
-            let ctx = &ctx;
-            rfc_parallel::run_shard_workers(shard_states, move |me, st| {
-                // A panic in the cycle loop (engine invariant failure)
-                // poisons the barrier so the other shards fail fast
-                // instead of spinning on a generation that never comes.
-                let _poison = barrier.guard();
-                for now in 0..end {
-                    self.step_shard_with(
-                        &self.candidates,
-                        self.oracle,
-                        plan,
-                        me,
-                        st,
-                        mailboxes,
-                        ctx,
-                        now,
-                    );
-                    // All sends for this cycle are in the mailboxes…
-                    barrier.wait();
-                    drain_mailboxes(plan, me, st, mailboxes, v);
-                    // …and all drains done before anyone starts cycle
-                    // now + 1.
-                    barrier.wait();
-                }
-            });
-        }
-
-        self.merge_stats(offered_load, scratch)
+        });
+        let outs = workers.into_iter().map(|(st, r)| r.finish(st)).collect();
+        (self.merge_stats(offered_load, scratch), outs)
     }
 
     /// Merges per-shard statistics (in fixed shard order) into the run
-    /// result and port probes. Shared by the plain run path and the
-    /// churn runner ([`crate::churn`]).
-    pub(crate) fn merge_stats(
-        &self,
-        offered_load: f64,
-        scratch: &mut RunScratch,
-    ) -> (SimResult, crate::stats::PortUtilization) {
+    /// result, and scatters the busy cycles back to global port order
+    /// for [`Simulation::run_with_probes`].
+    fn merge_stats(&self, offered_load: f64, scratch: &mut RunScratch) -> SimResult {
         let cfg = self.config;
         let net = self.net;
         let terminals = net.num_terminals();
@@ -1245,7 +655,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
             let idx = (p * (latency_samples.len() - 1) as f64).round() as usize;
             f64::from(latency_samples[idx])
         };
-        let result = SimResult {
+        SimResult {
             offered_load,
             accepted_load: delivered as f64 * cfg.packet_length as f64
                 / (window * terminals.max(1) as f64),
@@ -1261,17 +671,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
             generated_packets: generated,
             refused_packets: refused + unroutable,
             in_flight_at_end: in_flight,
-        };
-        let mut link = Vec::new();
-        let mut eject = Vec::new();
-        for (out, &busy) in busy_global.iter().enumerate() {
-            let utilization = busy as f64 / window;
-            match net.out_target[out] {
-                OutTarget::Link { .. } => link.push(utilization),
-                OutTarget::Eject { .. } => eject.push(utilization),
-            }
         }
-        (result, crate::stats::PortUtilization { link, eject })
     }
 
     /// Advances shard `me` by one cycle: deliver scheduled events,
@@ -1284,7 +684,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
     /// `self`) so churn runs can substitute per-shard repaired copies;
     /// plain runs pass `(&self.candidates, self.oracle)`.
     #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-    pub(crate) fn step_shard_with(
+    fn step_shard_with(
         &self,
         candidates: &Candidates,
         oracle: &O,
@@ -1425,6 +825,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                             && !Self::has_route_with(
                                 candidates,
                                 oracle,
+                                net,
                                 src_switch,
                                 first_target,
                                 hop_buf,
@@ -1438,7 +839,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                         if via_switch != NO_VIA
                             && via_switch != dst_switch
                             && !Self::has_route_with(
-                                candidates, oracle, via_switch, dst_switch, hop_buf,
+                                candidates, oracle, net, via_switch, dst_switch, hop_buf,
                             )
                         {
                             if in_window {
@@ -1501,9 +902,9 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
         //    whose candidate outputs are ALL busy is *parked*: removed
         //    from the worklist with a `Wake` scheduled for the cycle the
         //    earliest output frees — until then a rescan could never
-        //    have produced a request, so skipping it is exact. On the
-        //    table path a head's route is resolved at its first visit
-        //    and read from the slot's summary on every later one.
+        //    have produced a request, so skipping it is exact. A head's
+        //    route is resolved at its first visit and read from the
+        //    slot's summary on every later one.
         let mut i = 0;
         'slots: while i < active.len() {
             let s = active[i] as usize;
@@ -1514,32 +915,25 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
             }
             let switch = slot_switch[s];
             let head_at = s * cap + q_head[s] as usize;
-            let route = match candidates {
-                Candidates::Table(table) => {
-                    let summary = head_route[s];
-                    if summary == HEAD_NONE {
-                        let route = resolve_head(&mut pkts[head_at], switch, Some(table), net);
-                        head_route[s] = route.pack();
-                        route
-                    } else {
-                        // The summary must equal what the packet and the
-                        // current table resolve to now. Its Valiant
-                        // transition is already applied, so resolving a
-                        // copy of the packet changes nothing.
-                        debug_assert_eq!(
-                            summary,
-                            {
-                                let mut head = pkts[head_at];
-                                resolve_head(&mut head, switch, Some(table), net).pack()
-                            },
-                            "stale head summary at slot {s}"
-                        );
-                        HeadRoute::unpack(summary)
-                    }
-                }
-                // No row ids to cache: resolve through the oracle on
-                // every visit.
-                Candidates::Live => resolve_head(&mut pkts[head_at], switch, None, net),
+            let summary = head_route[s];
+            let route = if summary == HEAD_NONE {
+                let route = resolve_head(&mut pkts[head_at], switch, candidates, net);
+                head_route[s] = route.pack();
+                route
+            } else {
+                // The summary must equal what the packet and the current
+                // candidates resolve to now. Its Valiant transition is
+                // already applied, so resolving a copy of the packet
+                // changes nothing.
+                debug_assert_eq!(
+                    summary,
+                    {
+                        let mut head = pkts[head_at];
+                        resolve_head(&mut head, switch, candidates, net).pack()
+                    },
+                    "stale head summary at slot {s}"
+                );
+                HeadRoute::unpack(summary)
             };
             // Parks the current slot until `wake` (at most
             // packet_length cycles out, within the wheel horizon).
@@ -1566,80 +960,33 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                 // One draw serves both decisions: low half picks the
                 // candidate, high half starts the target-VC rotation.
                 let h = draw(ctx.streams.dec, now, u64::from(gid));
-                let out = match candidates {
-                    Candidates::Table(table) => {
-                        let ports = table.pool_row(route.key as usize);
-                        if ports.is_empty() {
-                            // Statically faulted networks never strand a
-                            // packet mid-route (injection pre-checks),
-                            // but stay safe: stall it.
-                            i += 1;
-                            continue;
-                        }
-                        // Only the hash mode needs the target, and only
-                        // it re-reads the head packet for it.
-                        let k = pick_candidate(cfg.request_mode, h, ports.len(), switch, || {
-                            routing_target(&pkts[head_at], dst_switch_of_terminal)
-                        });
-                        let out = ports[k];
-                        if busy_until[out as usize] > now {
-                            let mut wake = u64::MAX;
-                            for &cand in ports {
-                                wake = wake.min(busy_until[cand as usize]);
-                            }
-                            if wake > now {
-                                park_until!(wake);
-                            }
-                            // A free sibling exists: retry the uniform
-                            // pick next cycle.
-                            i += 1;
-                            continue;
-                        }
-                        out
+                let ports = candidates.ports(switch, route.key, oracle, net, hop_buf);
+                if ports.is_empty() {
+                    // Statically faulted networks never strand a packet
+                    // mid-route (injection pre-checks), but stay safe:
+                    // stall it.
+                    i += 1;
+                    continue;
+                }
+                // Only the hash mode needs the target, and only it
+                // re-reads the head packet for it.
+                let k = pick_candidate(cfg.request_mode, h, ports.len(), switch, || {
+                    routing_target(&pkts[head_at], dst_switch_of_terminal)
+                });
+                let out = ports[k];
+                if busy_until[out as usize] > now {
+                    let mut wake = u64::MAX;
+                    for &cand in ports {
+                        wake = wake.min(busy_until[cand as usize]);
                     }
-                    Candidates::Live => {
-                        let target = route.key;
-                        hop_buf.clear();
-                        oracle.next_hops_into(switch, target, hop_buf);
-                        if hop_buf.is_empty() {
-                            i += 1;
-                            continue;
-                        }
-                        let k =
-                            pick_candidate(cfg.request_mode, h, hop_buf.len(), switch, || target);
-                        let hop = hop_buf[k];
-                        // An oracle handing back a non-neighbor (or an
-                        // ejection port) is a routing bug; stall the
-                        // packet instead of panicking mid-run.
-                        let Some(out) = net.out_port_to(switch, hop) else {
-                            debug_assert!(false, "oracle returned non-neighbor {hop}");
-                            i += 1;
-                            continue;
-                        };
-                        if !matches!(out_target[out as usize], OutTarget::Link { .. }) {
-                            debug_assert!(false, "next-hop port {out} is not a link");
-                            i += 1;
-                            continue;
-                        }
-                        if busy_until[out as usize] > now {
-                            // Mirror the table path exactly (the
-                            // cached-vs-live agreement contract): park
-                            // only when every candidate is busy.
-                            let mut wake = u64::MAX;
-                            for &cand in hop_buf.iter() {
-                                if let Some(oc) = net.out_port_to(switch, cand) {
-                                    wake = wake.min(busy_until[oc as usize]);
-                                }
-                            }
-                            if wake > now {
-                                park_until!(wake);
-                            }
-                            i += 1;
-                            continue;
-                        }
-                        out
+                    if wake > now {
+                        park_until!(wake);
                     }
-                };
+                    // A free sibling exists: retry the uniform pick next
+                    // cycle.
+                    i += 1;
+                    continue;
+                }
                 let o = local_of_out[out as usize] as usize;
                 // Random target VC among those with a free slot (read
                 // from this shard's credit mirror of the downstream
@@ -1817,10 +1164,13 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
     /// `seed, seed+1, …`. Buffers are shared across the runs.
     pub fn sweep(&self, pattern: TrafficPattern, loads: &[f64], seed: u64) -> Vec<SimResult> {
         let mut scratch = RunScratch::new();
+        let shards = rfc_parallel::current_shards();
         loads
             .iter()
             .enumerate()
-            .map(|(i, &load)| self.run_scratch(pattern, load, seed + i as u64, &mut scratch))
+            .map(|(i, &load)| {
+                self.run_sharded_scratch(pattern, load, seed + i as u64, shards, &mut scratch)
+            })
             .collect()
     }
 
@@ -1872,7 +1222,7 @@ mod tests {
         cfg.latency_reservoir = 10;
         let sim = Simulation::new(&net, &routing, cfg);
         let mut scratch = RunScratch::new();
-        let (r, _) = sim.run_with_probes_scratch(TrafficPattern::Uniform, 0.6, 5, &mut scratch);
+        let r = sim.run_sharded_scratch(TrafficPattern::Uniform, 0.6, 5, 1, &mut scratch);
         assert!(
             r.delivered_packets > 10,
             "test needs more deliveries ({}) than the cap",
@@ -1894,10 +1244,11 @@ mod tests {
         let sim = Simulation::new(&net, &routing, SimConfig::quick());
         let mut scratch = RunScratch::new();
         // Dirty the scratch with a different pattern/load first.
-        let _ = sim.run_scratch(TrafficPattern::Shuffle, 0.9, 99, &mut scratch);
+        let _ = sim.run_sharded_scratch(TrafficPattern::Shuffle, 0.9, 99, 1, &mut scratch);
         for (load, seed) in [(0.3, 7u64), (0.8, 8)] {
             let fresh = sim.run(TrafficPattern::Uniform, load, seed);
-            let reused = sim.run_scratch(TrafficPattern::Uniform, load, seed, &mut scratch);
+            let reused =
+                sim.run_sharded_scratch(TrafficPattern::Uniform, load, seed, 1, &mut scratch);
             assert_eq!(fresh, reused, "scratch reuse changed results");
         }
     }
@@ -1918,15 +1269,15 @@ mod tests {
         let small_fresh = small_sim.run(TrafficPattern::Uniform, 0.7, 17);
         // big -> small -> big through the same scratch.
         assert_eq!(
-            big_sim.run_scratch(TrafficPattern::Uniform, 0.7, 17, &mut scratch),
+            big_sim.run_sharded_scratch(TrafficPattern::Uniform, 0.7, 17, 1, &mut scratch),
             big_fresh
         );
         assert_eq!(
-            small_sim.run_scratch(TrafficPattern::Uniform, 0.7, 17, &mut scratch),
+            small_sim.run_sharded_scratch(TrafficPattern::Uniform, 0.7, 17, 1, &mut scratch),
             small_fresh
         );
         assert_eq!(
-            big_sim.run_scratch(TrafficPattern::Uniform, 0.7, 17, &mut scratch),
+            big_sim.run_sharded_scratch(TrafficPattern::Uniform, 0.7, 17, 1, &mut scratch),
             big_fresh
         );
     }
@@ -1961,11 +1312,11 @@ mod tests {
             (TrafficPattern::Uniform, 0.5),
             (TrafficPattern::RandomPairing, 0.9),
         ] {
-            let (base, base_probes) =
-                sim.run_with_probes_sharded_scratch(pattern, load, 77, 1, &mut scratch);
+            let base = sim.run_sharded_scratch(pattern, load, 77, 1, &mut scratch);
+            let base_probes = sim.probes(&scratch);
             for shards in [2usize, 3, 8] {
-                let (r, probes) =
-                    sim.run_with_probes_sharded_scratch(pattern, load, 77, shards, &mut scratch);
+                let r = sim.run_sharded_scratch(pattern, load, 77, shards, &mut scratch);
+                let probes = sim.probes(&scratch);
                 assert_eq!(base, r, "{pattern} diverged at {shards} shards");
                 assert_eq!(base_probes.link, probes.link, "{pattern} link probes");
                 assert_eq!(base_probes.eject, probes.eject, "{pattern} eject probes");
@@ -2106,7 +1457,8 @@ mod tests {
         let mut scratch = RunScratch::new();
         for load in [0.05f64, 0.2, 0.5] {
             for seed in [1u64, 2, 3] {
-                let r = sim.run_scratch(TrafficPattern::Uniform, load, seed, &mut scratch);
+                let r =
+                    sim.run_sharded_scratch(TrafficPattern::Uniform, load, seed, 1, &mut scratch);
                 let expected = load / cfg.packet_length as f64
                     * net.num_terminals() as f64
                     * cfg.measure_cycles as f64;
@@ -2229,63 +1581,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_table_build_is_byte_identical_to_serial() {
-        let clos = FoldedClos::cft(6, 3).unwrap();
-        let routing = UpDownRouting::new(&clos);
-        let net = SimNetwork::from_folded_clos(&clos);
-        let cfg = SimConfig::quick();
-        rfc_parallel::set_threads(Some(1));
-        let serial = Simulation::new(&net, &routing, cfg);
-        rfc_parallel::set_threads(Some(8));
-        let parallel = Simulation::new(&net, &routing, cfg);
-        rfc_parallel::set_threads(None);
-        let s = serial.table_parts().expect("table fits the budget");
-        let p = parallel.table_parts().expect("table fits the budget");
-        assert_eq!(s, p, "parallel build diverged from serial");
-        assert!(!s.row_ports.is_empty(), "table must hold resolved ports");
-    }
-
-    #[test]
-    fn deduped_table_rows_match_dense_oracle_answers() {
-        // Expanding the interned + run-length-compressed table back to
-        // one row per (switch, dst) pair must reproduce exactly what the
-        // old dense build stored: the oracle's answer, resolved to out
-        // ports, in oracle order. Checked on a regular CFT (long runs)
-        // and a random folded Clos (worst-case fragmentation).
-        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-        let nets = [
-            FoldedClos::cft(6, 3).unwrap(),
-            FoldedClos::random(8, 24, 3, &mut rng).unwrap(),
-        ];
-        for clos in &nets {
-            let routing = UpDownRouting::new(clos);
-            let net = SimNetwork::from_folded_clos(clos);
-            let sim = Simulation::new(&net, &routing, SimConfig::quick());
-            let table = sim.table_parts().expect("table fits the budget");
-            let dst_space = table.dst_space;
-            let mut hops = Vec::new();
-            for switch in 0..vid(net.num_switches()) {
-                for dst in 0..vid(dst_space) {
-                    hops.clear();
-                    routing.next_hops_into(switch, dst, &mut hops);
-                    let dense: Vec<u32> = hops
-                        .iter()
-                        .map(|&h| net.out_port_to(switch, h).unwrap())
-                        .collect();
-                    assert_eq!(
-                        sim.table_row(switch, dst).unwrap(),
-                        &dense[..],
-                        "switch {switch} dst {dst}"
-                    );
-                }
-            }
-            // And the dedup must actually pay: fewer pool entries than
-            // (switch, dst) pairs.
-            assert!(table.row_off.len() - 1 < net.num_switches() * dst_space);
-        }
-    }
-
-    #[test]
     fn tiny_byte_budget_falls_back_to_live_with_identical_results() {
         // The budget is now in bytes; a budget too small for even the
         // per-switch offsets must abort the build cleanly (this is also
@@ -2302,180 +1597,6 @@ mod tests {
         assert_eq!(
             tiny.run(TrafficPattern::Uniform, 0.5, 7),
             full.run(TrafficPattern::Uniform, 0.5, 7),
-        );
-    }
-
-    /// The byte-identity reference for the table build: rows interned
-    /// by content in one pool-wide map over every run in switch-major
-    /// order, serial and without a budget. It assumes nothing about
-    /// which rows switches can share.
-    fn reference_table<O: RoutingOracle>(
-        net: &SimNetwork,
-        oracle: &O,
-        dst_space: usize,
-    ) -> RleTable {
-        let mut table = empty_table(dst_space);
-        let mut interner: std::collections::BTreeMap<Vec<u32>, u32> = Default::default();
-        let mut resolved = Vec::new();
-        for switch in 0..vid(net.num_switches()) {
-            let col_start = table.runs_start.len();
-            oracle.for_each_dst_run(switch, vid(dst_space), &mut |start, hops| {
-                resolve_out_ports(net, switch, hops, &mut resolved);
-                let next = vid(interner.len());
-                let id = *interner.entry(resolved.clone()).or_insert(next);
-                if id == next {
-                    append_row(&mut table, &resolved).unwrap();
-                }
-                if table.runs_start.len() > col_start && table.runs_row.last() == Some(&id) {
-                    return;
-                }
-                table.runs_start.push(start);
-                table.runs_row.push(id);
-            });
-            table.col_off.push(vid(table.runs_start.len()));
-        }
-        table
-    }
-
-    /// Asserts the built table equals [`reference_table`] at build
-    /// thread counts 1, 2 and 3; returns the most distinct rows one
-    /// switch holds.
-    fn assert_table_matches_reference<O: RoutingOracle + Sync>(
-        net: &SimNetwork,
-        oracle: &O,
-        what: &str,
-    ) -> usize {
-        let mut max_rows = 0;
-        for threads in 1..=3 {
-            rfc_parallel::set_threads(Some(threads));
-            let sim = Simulation::new(net, oracle, SimConfig::quick());
-            rfc_parallel::set_threads(None);
-            let table = sim.table_parts().expect("table fits the budget");
-            assert_eq!(
-                table,
-                &reference_table(net, oracle, table.dst_space),
-                "{what} diverged from the reference at {threads} thread(s)"
-            );
-            max_rows = (0..net.num_switches())
-                .map(|s| {
-                    let mut rows = table.runs_row
-                        [table.col_off[s] as usize..table.col_off[s + 1] as usize]
-                        .to_vec();
-                    rows.sort_unstable();
-                    rows.dedup();
-                    rows.len()
-                })
-                .max()
-                .unwrap_or(0);
-        }
-        max_rows
-    }
-
-    #[test]
-    fn table_build_is_byte_identical_to_the_content_interning_reference() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-        // Worst-case fragmentation (the dense-oracle test's RFC).
-        let rfc = FoldedClos::random(8, 24, 3, &mut rng).unwrap();
-        // Wide enough that switches outgrow the linear scan and the
-        // hashed index regrows.
-        let wide = FoldedClos::random(12, 160, 3, &mut rng).unwrap();
-        let cft = FoldedClos::cft(6, 3).unwrap();
-        // Cutting every fifth link leaves unroutable pairs, so many
-        // switches share the empty row.
-        let cut: Vec<_> = cft.links().into_iter().step_by(5).collect();
-        let faulted = cft.with_links_removed(&cut);
-        let oft = FoldedClos::oft(3, 3).unwrap();
-        for (clos, what) in [
-            (&cft, "cft"),
-            (&oft, "oft"),
-            (&rfc, "rfc"),
-            (&wide, "wide rfc"),
-            (&faulted, "faulted cft"),
-        ] {
-            let routing = UpDownRouting::new(clos);
-            let rows =
-                assert_table_matches_reference(&SimNetwork::from_folded_clos(clos), &routing, what);
-            if what == "wide rfc" {
-                // The index is built with room for 2 × SCAN_ROWS rows
-                // and regrows past that.
-                assert!(rows > 2 * SCAN_ROWS, "{rows} rows never regrow the index");
-            }
-        }
-        let rrn = rfc_topology::Rrn::new(12, 4, 2, &mut rng).unwrap();
-        let oracle = rfc_routing::ShortestPathOracle::new(&rrn.graph());
-        assert_table_matches_reference(&SimNetwork::from_rrn(&rrn), &oracle, "rrn");
-    }
-
-    #[test]
-    fn budget_boundary_is_exact_at_any_thread_count() {
-        // A budget of exactly the table's bytes materializes it; one byte
-        // less crosses at the last switch and falls back to live queries
-        // with identical results.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-        let clos = FoldedClos::random(8, 24, 3, &mut rng).unwrap();
-        let routing = UpDownRouting::new(&clos);
-        let net = SimNetwork::from_folded_clos(&clos);
-        let cfg = SimConfig::quick();
-        let full = Simulation::new(&net, &routing, cfg);
-        let table = full.table_parts().expect("table fits the default budget");
-        let expected = full.run(TrafficPattern::Uniform, 0.5, 7);
-        for threads in 1..=3 {
-            rfc_parallel::set_threads(Some(threads));
-            let exact = Simulation::with_table_budget(&net, &routing, cfg, table.bytes());
-            let short = Simulation::with_table_budget(&net, &routing, cfg, table.bytes() - 1);
-            rfc_parallel::set_threads(None);
-            assert_eq!(exact.table_parts(), Some(table), "{threads} thread(s)");
-            assert_eq!(short.candidate_table_bytes(), None, "{threads} thread(s)");
-            assert_eq!(short.run(TrafficPattern::Uniform, 0.5, 7), expected);
-        }
-    }
-
-    #[test]
-    fn over_budget_build_derives_at_most_twice_what_it_stitches() {
-        // cft(12,3) has 180 switches: the rounds run 16, 16, 32, 64, 52.
-        let clos = FoldedClos::cft(12, 3).unwrap();
-        let routing = UpDownRouting::new(&clos);
-        let net = SimNetwork::from_folded_clos(&clos);
-        let (n, dst) = (net.num_switches(), dst_space(&net));
-        let (table, derived, stitched) =
-            Simulation::<UpDownRouting>::build_table(&net, &routing, dst, usize::MAX);
-        let full = table.expect("an unbounded budget materializes").bytes();
-        assert_eq!((derived, stitched), (n, n));
-        for threads in 1..=3 {
-            rfc_parallel::set_threads(Some(threads));
-            for tenth in 1..10 {
-                let budget = full * tenth / 10;
-                let (table, derived, stitched) =
-                    Simulation::<UpDownRouting>::build_table(&net, &routing, dst, budget);
-                assert!(table.is_none(), "budget {budget} of {full} must not fit");
-                assert!(
-                    stitched > FIRST_CHUNK,
-                    "budget {budget} bails in the first round"
-                );
-                assert!(
-                    derived <= 2 * stitched,
-                    "{threads} thread(s), budget {budget}: derived {derived} to stitch {stitched}"
-                );
-            }
-            rfc_parallel::set_threads(None);
-        }
-    }
-
-    #[test]
-    fn deduped_table_undercuts_the_dense_layout() {
-        // The old layout stored (switches × dst_space + 1) offsets plus
-        // every resolved port; the compressed table must come in well
-        // under just the offset array. cft(8, 4) has 64 destinations but
-        // only ~R/2 + 2 runs per switch, so the ratio is structural.
-        let clos = FoldedClos::cft(8, 4).unwrap();
-        let routing = UpDownRouting::new(&clos);
-        let net = SimNetwork::from_folded_clos(&clos);
-        let sim = Simulation::new(&net, &routing, SimConfig::quick());
-        let bytes = sim.candidate_table_bytes().unwrap();
-        let dense_offsets = (net.num_switches() * sim.table_parts().unwrap().dst_space + 1) * 4;
-        assert!(
-            bytes < dense_offsets / 2,
-            "{bytes} bytes should undercut {dense_offsets} bytes of dense offsets"
         );
     }
 
@@ -2574,25 +1695,43 @@ mod tests {
     #[test]
     fn candidate_table_and_live_oracle_agree_exactly() {
         // The materialized table must be a pure cache: identical results
-        // to live oracle queries for the same seeds.
-        let clos = FoldedClos::cft(6, 3).unwrap();
-        let routing = UpDownRouting::new(&clos);
-        let net = SimNetwork::from_folded_clos(&clos);
-        let cfg = SimConfig::quick();
-        let cached = Simulation::new(&net, &routing, cfg);
-        assert!(
-            cached.candidate_table_bytes().is_some(),
-            "the deduped table must materialize"
-        );
-        let live = Simulation::with_table_budget(&net, &routing, cfg, 0);
-        assert_eq!(live.candidate_table_bytes(), None);
-        for (pattern, load) in [
-            (TrafficPattern::Uniform, 0.4),
-            (TrafficPattern::RandomPairing, 0.8),
-        ] {
-            let a = cached.run(pattern, load, 99);
-            let b = live.run(pattern, load, 99);
-            assert_eq!(a, b, "{pattern}: deduped table diverged from oracle");
+        // to live oracle queries for the same seeds, in both request
+        // modes and under Valiant routing, on a pristine and a statically
+        // faulted network, at any shard count.
+        let pristine = FoldedClos::cft(6, 3).unwrap();
+        let cut: Vec<_> = pristine.links().into_iter().step_by(5).collect();
+        let faulted = pristine.with_links_removed(&cut);
+        let mut hash = SimConfig::quick();
+        hash.request_mode = crate::RequestMode::UpDownHash;
+        let mut valiant = SimConfig::quick();
+        valiant.valiant_routing = true;
+        for (clos, what) in [(&pristine, "cft"), (&faulted, "faulted cft")] {
+            let routing = UpDownRouting::new(clos);
+            let net = SimNetwork::from_folded_clos(clos);
+            for cfg in [SimConfig::quick(), hash, valiant] {
+                let cached = Simulation::new(&net, &routing, cfg);
+                assert!(
+                    cached.candidate_table_bytes().is_some(),
+                    "the deduped table must materialize"
+                );
+                let live = Simulation::with_table_budget(&net, &routing, cfg, 0);
+                assert_eq!(live.candidate_table_bytes(), None);
+                for (pattern, load) in [
+                    (TrafficPattern::Uniform, 0.4),
+                    (TrafficPattern::RandomPairing, 0.8),
+                ] {
+                    for shards in [1usize, 2] {
+                        let a = cached.run_sharded(pattern, load, 99, shards);
+                        let b = live.run_sharded(pattern, load, 99, shards);
+                        assert_eq!(
+                            a, b,
+                            "{what}, {pattern}, {:?}, valiant {}, {shards} shard(s): \
+                             deduped table diverged from oracle",
+                            cfg.request_mode, cfg.valiant_routing
+                        );
+                    }
+                }
+            }
         }
     }
 

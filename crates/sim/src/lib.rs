@@ -26,6 +26,17 @@
 //! patterns, latency percentiles, and per-port utilization probes
 //! ([`Simulation::run_with_probes`]).
 //!
+//! # Running
+//!
+//! Every run goes through one lockstep cycle driver (DESIGN.md §13) and
+//! is byte-identical at any shard count. [`Simulation::run`] uses the
+//! ambient shard count, [`Simulation::run_sharded`] an explicit one,
+//! and [`Simulation::run_sharded_scratch`] reuses a caller-owned
+//! [`RunScratch`] across the runs of a sweep.
+//! [`Simulation::run_with_probes`] adds per-port utilization, and
+//! [`Simulation::run_churn_sharded_scratch`] replays a
+//! [`FaultSchedule`] of link failures during the run.
+//!
 //! # Examples
 //!
 //! ```
@@ -55,6 +66,7 @@ mod engine;
 mod network;
 mod shard;
 mod stats;
+mod table;
 mod traffic;
 
 pub use churn::{ChurnResult, FaultSchedule, RepairBenchmark};
