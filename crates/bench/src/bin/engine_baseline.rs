@@ -2,13 +2,13 @@
 //!
 //! Runs a fixed, fully deterministic saturation workload per scale and
 //! reports the cycle engine's throughput (simulated cycles per wall
-//! second) plus the one-time setup costs (routing-table and ECMP
-//! candidate-table build times). Each scale is measured at several
-//! shard counts (`--shards`); sharding is a pure speed knob — results
-//! are byte-identical, which this binary asserts on every run. The
-//! numbers land in `BENCH_sim.json` at the repo root — the committed
-//! perf trajectory every engine PR must move (or at least not regress);
-//! see DESIGN.md §10 and §13.
+//! second), the one-time setup costs (routing-table and ECMP
+//! candidate-table build times) and the routing-state footprint. Each
+//! scale is measured at several shard counts (`--shards`); sharding is a
+//! pure speed knob — results are byte-identical, which this binary
+//! asserts on every run. The numbers land in `BENCH_sim.json` at the
+//! repo root — the committed perf trajectory every engine PR must move
+//! (or at least not regress); see DESIGN.md §10, §13 and §15.
 //!
 //! Usage:
 //!
@@ -19,7 +19,7 @@
 //!     --shards 1,2 --check BENCH_sim.json --out target/BENCH_sim.json
 //!                                                                   # CI smoke: >2x regression fails
 //!                                                                   # (no --out: --check writes nothing)
-//! cargo run --release -p rfc-bench --bin engine_baseline -- --scale large --table-only
+//! cargo run --release -p rfc-bench --bin engine_baseline -- --table-only --check BENCH_sim.json
 //!                                                                   # build-only: table kind + bytes
 //! cargo run --release -p rfc-bench --bin engine_baseline -- --scale medium --repair
 //!                                                                   # incremental repair vs rebuild
@@ -27,25 +27,47 @@
 //!
 //! The workload itself is scale-keyed (CFT topology, uniform traffic at
 //! saturation) and never changes between runs, so cycles/sec numbers
-//! are comparable across commits on the same hardware class. An
-//! existing `"trajectory"` array in the output file is preserved
-//! verbatim, so the before/after history survives regeneration.
+//! are comparable across commits on the same hardware class.
 //!
-//! The `--check` regression gate applies to `small` and `medium` only
-//! (the `large` scale — 100K+ terminals — is report-only: big enough
-//! that a loaded CI host would flake the 2x budget). For each measured
-//! shard count the gate compares against the committed
-//! `sharded_cycles_per_sec` entry, falling back to the scale's
-//! top-level (serial) `cycles_per_sec` for 1 shard; shard counts with
-//! no committed value are noted and skipped rather than failed, so new
-//! shard counts can be introduced without a chicken-and-egg problem.
+//! This binary is the one reader and writer of the baseline schema
+//! (`rfc-net/engine-baseline/v2`), and it goes through
+//! [`rfc_net::json::Json`] both ways. Each scale record holds
+//! `sharded_cycles_per_sec` (shard count → cycles/sec), the build
+//! times, the `table` kind, `routing_bytes_per_terminal` and two
+//! fingerprints of the run, `accepted_load` and `delivered_packets`. An
+//! existing `"trajectory"` array in the output file is carried over
+//! unchanged, so the before/after history survives regeneration.
+//!
+//! `--check BASELINE` compares every measured scale with the committed
+//! record of the same name:
+//!
+//! * `table` and the fingerprints must match exactly (`accepted_load`
+//!   bit for bit), so a change that moves the draws re-baselines on
+//!   purpose;
+//! * `routing_bytes_per_terminal` may not rise above the committed
+//!   value (the routing-memory ratchet, DESIGN.md §15);
+//! * each shard count's cycles/sec must stay above half the committed
+//!   value. This applies to `small` and `medium` only: `large` (100K+
+//!   terminals) is report-only for throughput, because a loaded CI host
+//!   would flake the 2x budget.
+//!
+//! A key the committed record lacks is noted and skipped, so new scales,
+//! shard counts and fields can be introduced without a chicken-and-egg
+//! problem; a baseline that does not parse fails the run. With
+//! `--table-only` the run builds without simulating, so only `table`
+//! and `routing_bytes_per_terminal` are checked.
 
 use std::process::ExitCode;
 
 use rfc_net::graph::HeapBytes;
+use rfc_net::json::Json;
 use rfc_net::routing::UpDownRouting;
-use rfc_net::sim::{SimConfig, SimNetwork, Simulation, TrafficPattern};
+use rfc_net::sim::{RunScratch, SimConfig, SimNetwork, Simulation, TrafficPattern};
 use rfc_net::topology::FoldedClos;
+
+const USAGE: &str = "usage: engine_baseline [--scale small|medium|large] [--out PATH] \
+                     [--check BASELINE] [--threads N] [--shards N,N,...] [--table-only] \
+                     [--repair]";
 
 /// One scale's fixed workload definition.
 struct Workload {
@@ -59,7 +81,7 @@ struct Workload {
     runs: usize,
     /// Shard counts measured by default (overridable with `--shards`).
     shard_counts: &'static [usize],
-    /// Whether `--check` gates this scale against the committed file.
+    /// Whether `--check` gates this scale's throughput.
     gate: bool,
 }
 
@@ -105,27 +127,14 @@ const LARGE: Workload = Workload {
 /// representative stream is enough and keeps runs comparable.
 const SEED: u64 = 2017;
 
-/// Measured numbers for one scale.
-struct Measurement {
-    name: &'static str,
-    gate: bool,
-    terminals: usize,
-    switches: usize,
-    cycles: u64,
-    /// Serial (1-shard) throughput — the historical headline number.
-    cycles_per_sec: f64,
-    /// (shard count, cycles/sec), in measured order.
-    sharded: Vec<(usize, f64)>,
+/// A workload's topology, network, routing and engine configuration:
+/// the set-up every mode of this binary starts from.
+struct Setup {
+    clos: FoldedClos,
+    net: SimNetwork,
+    routing: UpDownRouting,
+    cfg: SimConfig,
     routing_build_ms: f64,
-    table_build_ms: f64,
-    /// "deduped" when the candidate table materialized, "live" when the
-    /// simulation fell back to per-request oracle queries.
-    table: &'static str,
-    /// Logical bytes of routing state (reach sets + CSR adjacency +
-    /// candidate table) per terminal, rounded up — the per-scale memory
-    /// figure ratcheted in `xtask-ratchet.toml`.
-    routing_bytes_per_terminal: usize,
-    accepted_load: f64,
 }
 
 // Wall-clock is the entire point of this binary; results never feed
@@ -135,12 +144,21 @@ fn now() -> std::time::Instant {
     std::time::Instant::now()
 }
 
-/// Builds a workload's network, routing, and candidate table without
-/// simulating — the cheap half of [`measure`], enough to answer "does
-/// this scale materialize the table, and at what memory cost?".
-/// `--table-only` uses it so CI can assert the `large` table
-/// materializes without paying minutes of saturated simulation.
-fn build_report(w: &Workload) {
+/// Milliseconds since `t`, rounded to the microsecond.
+fn elapsed_ms(t: std::time::Instant) -> f64 {
+    (t.elapsed().as_secs_f64() * 1e6).round() / 1e3
+}
+
+fn obj(fields: Vec<(&str, Json)>) -> Json {
+    Json::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+fn setup(w: &Workload) -> Setup {
     let clos = match FoldedClos::cft(w.radix, w.levels) {
         Ok(c) => c,
         Err(e) => {
@@ -149,35 +167,61 @@ fn build_report(w: &Workload) {
         }
     };
     let net = SimNetwork::from_folded_clos(&clos);
-
-    let t0 = now();
+    let t = now();
     let routing = UpDownRouting::new(&clos);
-    let routing_build_ms = t0.elapsed().as_secs_f64() * 1e3;
-
+    let routing_build_ms = elapsed_ms(t);
     let mut cfg = SimConfig::paper_defaults();
     cfg.warmup_cycles = w.warmup;
     cfg.measure_cycles = w.measure;
+    Setup {
+        clos,
+        net,
+        routing,
+        cfg,
+        routing_build_ms,
+    }
+}
 
-    let t1 = now();
-    let sim = Simulation::new(&net, &routing, cfg);
-    let table_build_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-    let table_bytes = sim.candidate_table_bytes();
-    let routing_bytes = routing.heap_bytes() + table_bytes.unwrap_or(0);
-    eprintln!(
-        "# {}: {} terminals, {} table, {} routing bytes/terminal \
-         (routing build {:.1} ms, table build {:.1} ms)",
-        w.name,
-        net.num_terminals(),
-        if table_bytes.is_some() {
+impl Setup {
+    /// Builds the simulation with its candidate table, prints the
+    /// set-up line, and returns the simulation with the set-up fields
+    /// of the scale record: sizes, build times, table kind ("deduped"
+    /// when the candidate table materialized, "live" when the engine
+    /// fell back to per-request oracle queries) and the logical bytes of
+    /// routing state (reach sets + CSR adjacency + candidate table) per
+    /// terminal, rounded up.
+    fn simulation(&self, name: &str) -> (Simulation<'_, UpDownRouting>, Vec<(&'static str, Json)>) {
+        let t = now();
+        let sim = Simulation::new(&self.net, &self.routing, self.cfg);
+        let table_build_ms = elapsed_ms(t);
+        let table_bytes = sim.candidate_table_bytes();
+        let table = if table_bytes.is_some() {
             "deduped"
         } else {
             "live"
-        },
-        routing_bytes.div_ceil(net.num_terminals().max(1)),
-        routing_build_ms,
-        table_build_ms,
-    );
+        };
+        let terminals = self.net.num_terminals();
+        let bytes_per_terminal =
+            (self.routing.heap_bytes() + table_bytes.unwrap_or(0)).div_ceil(terminals.max(1));
+        eprintln!(
+            "# {name}: {terminals} terminals, {table} table, {bytes_per_terminal} routing \
+             bytes/terminal (routing build {:.1} ms, table build {table_build_ms:.1} ms)",
+            self.routing_build_ms,
+        );
+        let fields = vec![
+            ("topology", Json::Str("cft".to_string())),
+            ("terminals", Json::Uint(terminals as u64)),
+            ("switches", Json::Uint(self.net.num_switches() as u64)),
+            ("routing_build_ms", Json::Num(self.routing_build_ms)),
+            ("table_build_ms", Json::Num(table_build_ms)),
+            ("table", Json::Str(table.to_string())),
+            (
+                "routing_bytes_per_terminal",
+                Json::Uint(bytes_per_terminal as u64),
+            ),
+        ];
+        (sim, fields)
+    }
 }
 
 /// Times single-event incremental routing repair (topology overlay +
@@ -187,18 +231,9 @@ fn build_report(w: &Workload) {
 /// speed lever, so a collapse here is a perf regression even while all
 /// byte-identity tests stay green.
 fn repair_report(w: &Workload) {
-    let clos = match FoldedClos::cft(w.radix, w.levels) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: workload topology: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut cfg = SimConfig::paper_defaults();
-    cfg.warmup_cycles = w.warmup;
-    cfg.measure_cycles = w.measure;
-    let trials = 12.min(clos.links().len());
-    let b = rfc_net::sim::churn::repair_speedup(&clos, cfg, trials, SEED);
+    let s = setup(w);
+    let trials = 12.min(s.clos.links().len());
+    let b = rfc_net::sim::churn::repair_speedup(&s.clos, s.cfg, trials, SEED);
     eprintln!(
         "# {}: {} single-link events: incremental repair {:.2} ms/event vs \
          full rebuild {:.2} ms/event — {:.1}x speedup",
@@ -210,37 +245,15 @@ fn repair_report(w: &Workload) {
     );
 }
 
-fn measure(w: &Workload, shard_counts: &[usize]) -> Measurement {
-    let clos = match FoldedClos::cft(w.radix, w.levels) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: workload topology: {e}");
-            std::process::exit(1);
-        }
-    };
-    let net = SimNetwork::from_folded_clos(&clos);
-
-    let t0 = now();
-    let routing = UpDownRouting::new(&clos);
-    let routing_build_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    let mut cfg = SimConfig::paper_defaults();
-    cfg.warmup_cycles = w.warmup;
-    cfg.measure_cycles = w.measure;
-
-    let t1 = now();
-    let sim = Simulation::new(&net, &routing, cfg);
-    let table_build_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-    let table_bytes = sim.candidate_table_bytes();
-    let routing_bytes = routing.heap_bytes() + table_bytes.unwrap_or(0);
-    let routing_bytes_per_terminal = routing_bytes.div_ceil(net.num_terminals().max(1));
-
-    let cycles = cfg.total_cycles();
-    let mut scratch = rfc_net::sim::RunScratch::new();
+/// Builds and runs one scale at each shard count and returns its
+/// record.
+fn measure(w: &Workload, shard_counts: &[usize]) -> Json {
+    let s = setup(w);
+    let (sim, mut fields) = s.simulation(w.name);
+    let cycles = s.cfg.total_cycles();
+    let mut scratch = RunScratch::new();
     let mut sharded = Vec::new();
-    let mut serial = f64::NAN;
-    let mut accepted: Option<f64> = None;
+    let mut fingerprint: Option<(f64, u64)> = None;
     for &shards in shard_counts {
         let mut best = f64::INFINITY;
         for _ in 0..w.runs {
@@ -250,121 +263,131 @@ fn measure(w: &Workload, shard_counts: &[usize]) -> Measurement {
             best = best.min(t.elapsed().as_secs_f64());
             // The sharding contract, enforced on every benchmark run:
             // the shard count must not move the physics.
-            match accepted {
-                None => accepted = Some(r.accepted_load),
-                Some(a) => assert!(
-                    (a - r.accepted_load).abs() < f64::EPSILON,
-                    "{}: accepted_load moved with the shard count: {a} vs {} at {shards} shards",
-                    w.name,
-                    r.accepted_load,
-                ),
-            }
+            let got = (r.accepted_load, r.delivered_packets);
+            let want = *fingerprint.get_or_insert(got);
+            assert!(
+                want.0.to_bits() == got.0.to_bits() && want.1 == got.1,
+                "{}: the run moved with the shard count: {want:?} vs {got:?} at {shards} shards",
+                w.name,
+            );
         }
         let cps = cycles as f64 / best;
-        if shards == 1 {
-            serial = cps;
+        eprintln!(
+            "# {}: {shards} shard{}: {cps:.0} cycles/sec",
+            w.name,
+            if shards == 1 { "" } else { "s" }
+        );
+        sharded.push((shards.to_string(), Json::Num(cps.round())));
+    }
+    let (accepted, delivered) = fingerprint.unwrap_or((f64::NAN, 0));
+    eprintln!(
+        "# {}: {cycles} cycles, accepted load {accepted:.3}, {delivered} packets delivered",
+        w.name
+    );
+    fields.extend([
+        ("cycles", Json::Uint(cycles)),
+        ("offered_load", Json::Num(1.0)),
+        ("sharded_cycles_per_sec", Json::Obj(sharded)),
+        ("accepted_load", Json::Num(accepted)),
+        ("delivered_packets", Json::Uint(delivered)),
+    ]);
+    obj(fields)
+}
+
+/// Exact equality; numbers compare bit for bit, whichever variant they
+/// parsed as.
+fn same(a: &Json, b: &Json) -> bool {
+    match (a.as_num(), b.as_num()) {
+        (Some(x), Some(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
+/// Compares one measured scale record with the committed one and
+/// returns the failures. Only keys the measurement has are compared; a
+/// key the committed record lacks is noted and skipped. Throughput is
+/// compared only when `gate` is set.
+fn check_scale(name: &str, measured: &Json, committed: &Json, gate: bool) -> Vec<String> {
+    let pair = |key: &str| {
+        let have = measured.get(key)?;
+        match committed.get(key) {
+            Some(want) => Some((have, want)),
+            None => {
+                eprintln!("# {name}: the baseline has no `{key}`; not checked");
+                None
+            }
         }
-        sharded.push((shards, cps));
+    };
+    let mut failures = Vec::new();
+    for key in ["table", "accepted_load", "delivered_packets"] {
+        if let Some((have, want)) = pair(key) {
+            if !same(have, want) {
+                failures.push(format!(
+                    "{name}: {key} is {} but the baseline has {}; a change that moves it must \
+                     re-baseline on purpose",
+                    have.render(),
+                    want.render()
+                ));
+            }
+        }
     }
-    if serial.is_nan() {
-        // `--shards` without 1: keep the headline slot meaningful by
-        // using the slowest measured count.
-        serial = sharded
-            .iter()
-            .map(|&(_, c)| c)
-            .fold(f64::INFINITY, f64::min);
+    if let Some((have, want)) = pair("routing_bytes_per_terminal") {
+        match (have.as_num(), want.as_num()) {
+            (Some(h), Some(w)) if h > w => failures.push(format!(
+                "{name}: routing_bytes_per_terminal rose to {h} (baseline {w}); the \
+                 routing-memory ratchet only turns downward — shrink the reach sets or \
+                 candidate table, or justify the growth and re-baseline"
+            )),
+            (Some(h), Some(w)) if h < w => eprintln!(
+                "# {name}: routing_bytes_per_terminal is {h}, below the baseline {w}; \
+                 re-baseline to tighten"
+            ),
+            (Some(_), Some(_)) => {}
+            _ => failures.push(format!(
+                "{name}: routing_bytes_per_terminal baseline {} is not a number",
+                want.render()
+            )),
+        }
     }
-    Measurement {
-        name: w.name,
-        gate: w.gate,
-        terminals: net.num_terminals(),
-        switches: net.num_switches(),
-        cycles,
-        cycles_per_sec: serial,
-        sharded,
-        routing_build_ms,
-        table_build_ms,
-        table: if table_bytes.is_some() {
-            "deduped"
+    let Some(Json::Obj(sharded)) = measured.get("sharded_cycles_per_sec") else {
+        return failures;
+    };
+    if !gate {
+        eprintln!("# {name}: report-only scale, throughput not checked");
+        return failures;
+    }
+    for (shards, cps) in sharded {
+        let committed_cps = committed
+            .get("sharded_cycles_per_sec")
+            .and_then(|m| m.get(shards))
+            .and_then(Json::as_num);
+        let (Some(cps), Some(committed_cps)) = (cps.as_num(), committed_cps) else {
+            eprintln!(
+                "# {name} has no committed number for {shards} shard(s); gate skipped for \
+                 this count"
+            );
+            continue;
+        };
+        let floor = committed_cps / 2.0;
+        if cps < floor {
+            failures.push(format!(
+                "{name} at {shards} shard(s): {cps:.0} cycles/sec is a >2x regression vs the \
+                 committed {committed_cps:.0} (floor {floor:.0})"
+            ));
         } else {
-            "live"
-        },
-        routing_bytes_per_terminal,
-        accepted_load: accepted.unwrap_or(f64::NAN),
+            eprintln!(
+                "# {name} at {shards} shard(s) within budget: {cps:.0} vs committed \
+                 {committed_cps:.0} (floor {floor:.0})"
+            );
+        }
     }
+    failures
 }
 
-fn render_scale(m: &Measurement) -> String {
-    let sharded = m
-        .sharded
-        .iter()
-        .map(|(s, c)| format!("\"{s}\": {c:.0}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "    \"{}\": {{\n      \"topology\": \"cft\",\n      \"terminals\": {},\n      \"switches\": {},\n      \"cycles\": {},\n      \"offered_load\": 1.0,\n      \"cycles_per_sec\": {:.0},\n      \"sharded_cycles_per_sec\": {{ {} }},\n      \"routing_build_ms\": {:.3},\n      \"table_build_ms\": {:.3},\n      \"table\": \"{}\",\n      \"routing_bytes_per_terminal\": {},\n      \"accepted_load\": {:.4}\n    }}",
-        m.name,
-        m.terminals,
-        m.switches,
-        m.cycles,
-        m.cycles_per_sec,
-        sharded,
-        m.routing_build_ms,
-        m.table_build_ms,
-        m.table,
-        m.routing_bytes_per_terminal,
-        m.accepted_load,
-    )
-}
-
-/// Extracts a preserved `"trajectory": [...]` array from a previous
-/// baseline file, if any (entries are flat objects, so the first `]`
-/// closes the array).
-fn preserved_trajectory(previous: &str) -> Option<String> {
-    let at = previous.find("\"trajectory\"")?;
-    let open = previous[at..].find('[')? + at;
-    let close = previous[open..].find(']')? + open;
-    Some(previous[open..=close].to_string())
-}
-
-/// Reads the number following `"key":` starting at byte `from` of
-/// `text`.
-fn number_after(text: &str, from: usize, key: &str) -> Option<f64> {
-    let at = text[from..].find(key)? + from;
-    let colon = text[at..].find(':')? + at;
-    let rest = text[colon + 1..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Reads `"cycles_per_sec"` out of the named scale object of a baseline
-/// file.
-fn committed_cycles_per_sec(text: &str, scale: &str) -> Option<f64> {
-    let at = text.find(&format!("\"{scale}\""))?;
-    number_after(text, at, "\"cycles_per_sec\"")
-}
-
-/// Reads the committed throughput for one shard count of one scale:
-/// the `"N": value` entry of the scale's `sharded_cycles_per_sec` map,
-/// falling back to the scale's serial `cycles_per_sec` for 1 shard
-/// (pre-sharding baseline files only carry the latter).
-fn committed_sharded(text: &str, scale: &str, shards: usize) -> Option<f64> {
-    let at = text.find(&format!("\"{scale}\""))?;
-    let sharded = text[at..]
-        .find("\"sharded_cycles_per_sec\"")
-        .map(|o| o + at);
-    let from_map = sharded.and_then(|s| {
-        let open = text[s..].find('{')? + s;
-        let close = text[open..].find('}')? + open;
-        number_after(&text[..close], open, &format!("\"{shards}\""))
-    });
-    match from_map {
-        Some(v) => Some(v),
-        None if shards == 1 => committed_cycles_per_sec(text, scale),
-        None => None,
-    }
+fn read_baseline(path: &str) -> Result<Json, String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
+    Json::parse(&text).map_err(|e| format!("baseline {path} is not JSON: {e}"))
 }
 
 fn repo_root() -> std::path::PathBuf {
@@ -379,12 +402,16 @@ fn repo_root() -> std::path::PathBuf {
     }
 }
 
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("error: {message}\n{USAGE}");
+    ExitCode::from(2)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale: Option<String> = None;
     let mut out: Option<String> = None;
     let mut check: Option<String> = None;
-    let mut threads: Option<usize> = None;
     let mut shards_override: Option<Vec<usize>> = None;
     let mut table_only = false;
     let mut repair = false;
@@ -401,7 +428,13 @@ fn main() -> ExitCode {
             "--scale" => scale = Some(value("--scale")),
             "--out" => out = Some(value("--out")),
             "--check" => check = Some(value("--check")),
-            "--threads" => threads = value("--threads").parse().ok(),
+            "--threads" => {
+                let n = value("--threads");
+                match n.trim().parse::<usize>() {
+                    Ok(t) if t >= 1 => rfc_net::parallel::set_threads(Some(t)),
+                    _ => return usage_error(&format!("--threads wants a count >= 1, got `{n}`")),
+                }
+            }
             "--shards" => {
                 let list = value("--shards");
                 let parsed: Result<Vec<usize>, _> =
@@ -411,27 +444,16 @@ fn main() -> ExitCode {
                         shards_override = Some(v);
                     }
                     _ => {
-                        eprintln!(
-                            "error: --shards wants a comma list of counts >= 1, got `{list}`"
-                        );
-                        return ExitCode::from(2);
+                        return usage_error(&format!(
+                            "--shards wants a comma list of counts >= 1, got `{list}`"
+                        ))
                     }
                 }
             }
             "--table-only" => table_only = true,
             "--repair" => repair = true,
-            _ => {
-                eprintln!(
-                    "usage: engine_baseline [--scale small|medium|large] [--out PATH] \
-                     [--check BASELINE] [--threads N] [--shards N,N,...] [--table-only] \
-                     [--repair]"
-                );
-                return ExitCode::from(2);
-            }
+            other => return usage_error(&format!("unknown argument `{other}`")),
         }
-    }
-    if threads.is_some() {
-        rfc_net::parallel::set_threads(threads);
     }
 
     let workloads: Vec<&Workload> = match scale.as_deref() {
@@ -439,18 +461,8 @@ fn main() -> ExitCode {
         Some("small") => vec![&SMALL],
         Some("medium") => vec![&MEDIUM],
         Some("large") => vec![&LARGE],
-        Some(other) => {
-            eprintln!("error: unknown scale `{other}` (small|medium|large)");
-            return ExitCode::from(2);
-        }
+        Some(other) => return usage_error(&format!("unknown scale `{other}`")),
     };
-
-    if table_only {
-        for w in &workloads {
-            build_report(w);
-        }
-        return ExitCode::SUCCESS;
-    }
 
     if repair {
         for w in &workloads {
@@ -459,81 +471,43 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let mut rendered = Vec::new();
-    let mut failed = false;
+    let baseline = match check.as_deref().map(read_baseline).transpose() {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let mut failures = Vec::new();
+    let mut scales = Vec::new();
     for w in &workloads {
-        let shard_counts: &[usize] = shards_override.as_deref().unwrap_or(w.shard_counts);
-        let m = measure(w, shard_counts);
-        let sharded_report = m
-            .sharded
-            .iter()
-            .map(|(s, c)| format!("{s} shard{}: {c:.0} c/s", if *s == 1 { "" } else { "s" }))
-            .collect::<Vec<_>>()
-            .join(", ");
-        eprintln!(
-            "# {}: {} terminals, {} cycles: {sharded_report} \
-             (routing build {:.1} ms, table build {:.1} ms, {} table, \
-             {} routing bytes/terminal, accepted {:.3})",
-            m.name,
-            m.terminals,
-            m.cycles,
-            m.routing_build_ms,
-            m.table_build_ms,
-            m.table,
-            m.routing_bytes_per_terminal,
-            m.accepted_load,
-        );
-        if let Some(path) = &check {
-            if !m.gate {
-                eprintln!("# {}: report-only scale, --check skipped", m.name);
-            } else {
-                match std::fs::read_to_string(path) {
-                    Ok(text) => {
-                        for &(shards, cps) in &m.sharded {
-                            match committed_sharded(&text, m.name, shards) {
-                                Some(committed) => {
-                                    let floor = committed / 2.0;
-                                    if cps < floor {
-                                        eprintln!(
-                                            "error: {} at {shards} shard(s): {cps:.0} cycles/sec \
-                                             is a >2x regression vs the committed {committed:.0} \
-                                             (floor {floor:.0})",
-                                            m.name
-                                        );
-                                        failed = true;
-                                    } else {
-                                        eprintln!(
-                                            "# {} at {shards} shard(s) within budget: {cps:.0} vs \
-                                             committed {committed:.0} (floor {floor:.0})",
-                                            m.name
-                                        );
-                                    }
-                                }
-                                None => {
-                                    eprintln!(
-                                        "# {} has no committed number for {shards} shard(s) in \
-                                         {path}; gate skipped for this count",
-                                        m.name
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("error: cannot read baseline {path}: {e}");
-                        failed = true;
-                    }
+        let record = if table_only {
+            obj(setup(w).simulation(w.name).1)
+        } else {
+            measure(w, shards_override.as_deref().unwrap_or(w.shard_counts))
+        };
+        if let Some(baseline) = &baseline {
+            match baseline.get("scales").and_then(|s| s.get(w.name)) {
+                Some(committed) => {
+                    failures.extend(check_scale(w.name, &record, committed, w.gate));
                 }
+                None => eprintln!("# {}: the baseline has no record; not checked", w.name),
             }
         }
-        rendered.push(render_scale(&m));
+        scales.push((w.name.to_string(), record));
+    }
+    for f in &failures {
+        eprintln!("error: {f}");
+    }
+    let status = if failures.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    };
+    if table_only {
+        return status;
     }
 
-    let status = if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    };
     // A gate run only reads the baseline: without `--out` it writes
     // nothing, so it can never overwrite the committed file.
     let out_path = match (out, &check) {
@@ -543,16 +517,25 @@ fn main() -> ExitCode {
     };
     let trajectory = std::fs::read_to_string(&out_path)
         .ok()
-        .as_deref()
-        .and_then(preserved_trajectory)
-        .unwrap_or_else(|| "[]".to_string());
-    let json = format!(
-        "{{\n  \"schema\": \"rfc-net/engine-baseline/v1\",\n  \"seed\": {SEED},\n  \"threads\": {},\n  \"scales\": {{\n{}\n  }},\n  \"trajectory\": {}\n}}\n",
-        rfc_net::parallel::current_threads(),
-        rendered.join(",\n"),
-        trajectory,
-    );
-    if let Err(e) = std::fs::write(&out_path, &json) {
+        .and_then(|text| Json::parse(&text).ok())
+        .and_then(|previous| previous.get("trajectory").cloned())
+        .unwrap_or(Json::Arr(Vec::new()));
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let record = obj(vec![
+        (
+            "schema",
+            Json::Str("rfc-net/engine-baseline/v2".to_string()),
+        ),
+        ("seed", Json::Uint(SEED)),
+        (
+            "threads",
+            Json::Uint(rfc_net::parallel::current_threads() as u64),
+        ),
+        ("host_cores", Json::Uint(host_cores as u64)),
+        ("scales", Json::Obj(scales)),
+        ("trajectory", trajectory),
+    ]);
+    if let Err(e) = std::fs::write(&out_path, record.render() + "\n") {
         eprintln!("error: cannot write {}: {e}", out_path.display());
         return ExitCode::FAILURE;
     }

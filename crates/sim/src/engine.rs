@@ -1160,20 +1160,6 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
         // xtask: hot-loop-end
     }
 
-    /// Runs a load sweep, one run per entry of `loads`, with seeds
-    /// `seed, seed+1, …`. Buffers are shared across the runs.
-    pub fn sweep(&self, pattern: TrafficPattern, loads: &[f64], seed: u64) -> Vec<SimResult> {
-        let mut scratch = RunScratch::new();
-        let shards = rfc_parallel::current_shards();
-        loads
-            .iter()
-            .enumerate()
-            .map(|(i, &load)| {
-                self.run_sharded_scratch(pattern, load, seed + i as u64, shards, &mut scratch)
-            })
-            .collect()
-    }
-
     /// Saturation throughput: accepted load when every node offers one
     /// phit per cycle.
     pub fn max_throughput(&self, pattern: TrafficPattern, seed: u64) -> f64 {
@@ -1604,8 +1590,10 @@ mod tests {
     fn sweep_latency_grows_with_load() {
         let (net, routing) = tiny_sim();
         let sim = Simulation::new(&net, &routing, SimConfig::quick());
-        let results = sim.sweep(TrafficPattern::Uniform, &[0.1, 0.9], 5);
-        assert_eq!(results.len(), 2);
+        let results = [
+            sim.run(TrafficPattern::Uniform, 0.1, 5),
+            sim.run(TrafficPattern::Uniform, 0.9, 6),
+        ];
         assert!(
             results[1].avg_latency > results[0].avg_latency,
             "latency must rise toward saturation: {} vs {}",

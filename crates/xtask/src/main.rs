@@ -22,9 +22,6 @@ Commands:
   counts                 print the per-crate panic-surface table
   casts                  print the per-crate cast table and every
                          unsuppressed lossy cast site
-  ratchet                print the per-scale routing-bytes-per-terminal
-                         table (BENCH_sim.json vs the committed
-                         [scale.*] baselines) and fail on regressions
 
 Flags:
   --write-ratchet        rewrite xtask-ratchet.toml (panic-surface,
@@ -55,7 +52,6 @@ fn main() -> ExitCode {
         (["conc"], false) => conc(&root),
         (["counts"], false) => counts(&root),
         (["casts"], false) => casts(&root),
-        (["ratchet"], false) => ratchet(&root),
         _ => {
             eprint!("{USAGE}");
             ExitCode::FAILURE
@@ -219,55 +215,6 @@ fn counts(root: &std::path::Path) -> ExitCode {
         );
     }
     ExitCode::SUCCESS
-}
-
-fn ratchet(root: &std::path::Path) -> ExitCode {
-    let measured = match xtask::workspace::bench_scale_bytes(root) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline = match std::fs::read_to_string(root.join(RATCHET_FILE))
-        .map_err(|e| format!("{}: {e}", RATCHET_FILE))
-        .and_then(|text| xtask::ratchet::parse_scales(&text))
-    {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "{:<10} {:>14} {:>14}",
-        "scale", "baseline B/t", "measured B/t"
-    );
-    for (name, base) in &baseline {
-        match measured.get(name) {
-            Some(now) => println!("{name:<10} {base:>14} {now:>14}"),
-            None => println!("{name:<10} {base:>14} {:>14}", "-"),
-        }
-    }
-    for (name, now) in &measured {
-        if !baseline.contains_key(name) {
-            println!("{name:<10} {:>14} {now:>14}", "-");
-        }
-    }
-    let (failures, improvements) = xtask::ratchet::compare_scales(&baseline, &measured);
-    for note in &improvements {
-        println!("note: {note}");
-    }
-    for f in &failures {
-        eprintln!("error[ratchet]: {RATCHET_FILE}:1: {f}");
-    }
-    if failures.is_empty() {
-        println!("xtask ratchet: clean ({} scale(s) checked)", baseline.len());
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("xtask ratchet: {} violation(s)", failures.len());
-        ExitCode::FAILURE
-    }
 }
 
 fn casts(root: &std::path::Path) -> ExitCode {

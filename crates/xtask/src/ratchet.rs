@@ -5,15 +5,14 @@
 //! lint`), how many potentially-lossy `as` casts (enforced by
 //! `cargo xtask audit`, see [`crate::casts`]), and how many lock-type /
 //! atomic-type sync primitives (enforced by `cargo xtask conc`, see
-//! [`crate::conc`]). It also records, per benchmark scale, the routing
-//! memory footprint (`routing-bytes-per-terminal`, measured by
-//! `engine_baseline` and published in `BENCH_sim.json`; see DESIGN.md
-//! §15). Each check fails when its count *rises* above the baseline,
-//! and reports (without failing) when a count has dropped so the
-//! baseline can be tightened with `--write-ratchet`. The file is
+//! [`crate::conc`]). Each check fails when its count *rises* above the
+//! baseline, and reports (without failing) when a count has dropped so
+//! the baseline can be tightened with `--write-ratchet`. The file is
 //! parsed with a purpose-built reader rather than a TOML dependency:
 //! the format is a fixed table of integer keys under `[crate.<name>]`
-//! and `[scale.<name>]` sections.
+//! sections. (The per-scale routing-memory ratchet is not here: it
+//! lives in `engine_baseline --check`, next to the measurement it
+//! gates; see DESIGN.md §15.)
 
 use std::collections::BTreeMap;
 
@@ -39,41 +38,26 @@ pub struct BaselineCounts {
 /// description of the first malformed line.
 pub fn parse(text: &str) -> Result<BTreeMap<String, BaselineCounts>, String> {
     let mut out: BTreeMap<String, BaselineCounts> = BTreeMap::new();
-    // `None` while inside a `[scale.*]` section, whose keys are read by
-    // [`parse_scales`] instead.
     let mut current: Option<String> = None;
-    let mut in_scale = false;
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
         if let Some(section) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            if section.strip_prefix("scale.").is_some() {
-                current = None;
-                in_scale = true;
-                continue;
-            }
-            let name = section.strip_prefix("crate.").ok_or_else(|| {
-                format!(
-                    "line {}: expected [crate.<name>] or [scale.<name>]",
-                    idx + 1
-                )
-            })?;
+            let name = section
+                .strip_prefix("crate.")
+                .ok_or_else(|| format!("line {}: expected [crate.<name>]", idx + 1))?;
             if out.contains_key(name) {
                 return Err(format!("line {}: duplicate crate `{name}`", idx + 1));
             }
             out.insert(name.to_string(), BaselineCounts::default());
             current = Some(name.to_string());
-            in_scale = false;
             continue;
         }
         let (key, value) = line
             .split_once('=')
             .ok_or_else(|| format!("line {}: expected `key = value`", idx + 1))?;
-        if in_scale {
-            continue;
-        }
         let crate_name = current
             .as_ref()
             .ok_or_else(|| format!("line {}: key outside a [crate.*] section", idx + 1))?;
@@ -97,69 +81,12 @@ pub fn parse(text: &str) -> Result<BTreeMap<String, BaselineCounts>, String> {
     Ok(out)
 }
 
-/// Parses the `[scale.<name>]` sections of the ratchet file: benchmark
-/// scale → `routing-bytes-per-terminal` baseline. Crate sections are
-/// skipped (they are [`parse`]'s concern); files written before the
-/// memory ratchet existed simply yield an empty map.
-pub fn parse_scales(text: &str) -> Result<BTreeMap<String, usize>, String> {
-    let mut out: BTreeMap<String, usize> = BTreeMap::new();
-    // `None` while inside a `[crate.*]` section.
-    let mut current: Option<String> = None;
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(section) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            if let Some(name) = section.strip_prefix("scale.") {
-                if out.contains_key(name) {
-                    return Err(format!("line {}: duplicate scale `{name}`", idx + 1));
-                }
-                out.insert(name.to_string(), 0);
-                current = Some(name.to_string());
-            } else if section.strip_prefix("crate.").is_some() {
-                current = None;
-            } else {
-                return Err(format!(
-                    "line {}: expected [crate.<name>] or [scale.<name>]",
-                    idx + 1
-                ));
-            }
-            continue;
-        }
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| format!("line {}: expected `key = value`", idx + 1))?;
-        let Some(scale) = current.as_ref() else {
-            continue;
-        };
-        let n: usize = value
-            .trim()
-            .parse()
-            .map_err(|_| format!("line {}: value is not an integer", idx + 1))?;
-        match (key.trim(), out.get_mut(scale)) {
-            ("routing-bytes-per-terminal", Some(slot)) => *slot = n,
-            ("routing-bytes-per-terminal", None) => {
-                return Err(format!(
-                    "line {}: scale `{scale}` has no open section",
-                    idx + 1
-                ))
-            }
-            (other, _) => return Err(format!("line {}: unknown scale key `{other}`", idx + 1)),
-        }
-    }
-    Ok(out)
-}
-
 /// Renders a baseline back to the canonical file format from the three
-/// measured crate tables (which cover the same crate set) plus the
-/// per-scale routing-memory table from `BENCH_sim.json` (empty for
-/// trees without a benchmark report).
+/// measured crate tables (which cover the same crate set).
 pub fn render(
     panic: &BTreeMap<String, PanicCounts>,
     casts: &BTreeMap<String, CastCounts>,
     sync: &BTreeMap<String, SyncCounts>,
-    scales: &BTreeMap<String, usize>,
 ) -> String {
     let mut out = String::from(
         "# Ratchet baselines enforced by the in-tree analyzer.\n\
@@ -168,9 +95,7 @@ pub fn render(
          # macros in NON-TEST code (`cargo xtask lint`); lossy-cast counts\n\
          # potentially-lossy `as` casts (`cargo xtask audit`, DESIGN.md §12);\n\
          # sync-lock/sync-atomic count lock-type and atomic-type mentions\n\
-         # (`cargo xtask conc`, DESIGN.md §14); routing-bytes-per-terminal\n\
-         # is the per-scale routing-state footprint from BENCH_sim.json\n\
-         # (`cargo xtask ratchet`, DESIGN.md §15).\n\
+         # (`cargo xtask conc`, DESIGN.md §14).\n\
          # Each ratchet only turns one way: a count may drop (tighten with\n\
          # `cargo xtask lint --all --write-ratchet`) but any increase fails.\n",
     );
@@ -181,11 +106,6 @@ pub fn render(
             "\n[crate.{name}]\nunwrap = {}\nexpect = {}\npanic = {}\nlossy-cast = {lossy}\n\
              sync-lock = {}\nsync-atomic = {}\n",
             counts.unwrap, counts.expect, counts.panic, s.lock, s.atomic
-        ));
-    }
-    for (name, bytes) in scales {
-        out.push_str(&format!(
-            "\n[scale.{name}]\nrouting-bytes-per-terminal = {bytes}\n"
         ));
     }
     out
@@ -330,47 +250,6 @@ pub fn compare_sync(
     (failures, improvements)
 }
 
-/// Compares the measured per-scale routing memory (from
-/// `BENCH_sim.json`) against the baseline. Same one-way contract as
-/// [`compare`]: a footprint may shrink, never grow.
-pub fn compare_scales(
-    baseline: &BTreeMap<String, usize>,
-    measured: &BTreeMap<String, usize>,
-) -> (Vec<String>, Vec<String>) {
-    let mut failures = Vec::new();
-    let mut improvements = Vec::new();
-    for (name, have) in measured {
-        let Some(want) = baseline.get(name) else {
-            failures.push(format!(
-                "scale `{name}` is missing from xtask-ratchet.toml (measured {have} routing \
-                 bytes/terminal); add it with `cargo xtask lint --write-ratchet`"
-            ));
-            continue;
-        };
-        if have > want {
-            failures.push(format!(
-                "scale `{name}`: routing-bytes-per-terminal rose to {have} (baseline {want}); \
-                 the routing-memory ratchet only turns downward — shrink the reach sets or \
-                 candidate table, or justify the growth and re-baseline"
-            ));
-        } else if have < want {
-            improvements.push(format!(
-                "scale `{name}`: routing-bytes-per-terminal is {have}, below baseline {want} — \
-                 tighten with `cargo xtask lint --write-ratchet`"
-            ));
-        }
-    }
-    for name in baseline.keys() {
-        if !measured.contains_key(name) {
-            failures.push(format!(
-                "xtask-ratchet.toml lists scale `{name}` which BENCH_sim.json does not report; \
-                 remove it with `cargo xtask lint --write-ratchet`"
-            ));
-        }
-    }
-    (failures, improvements)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,10 +292,7 @@ mod tests {
         let mut syncs = BTreeMap::new();
         syncs.insert("core".to_string(), sync(1, 0));
         syncs.insert("sim".to_string(), sync(2, 3));
-        let mut scales = BTreeMap::new();
-        scales.insert("small".to_string(), 135);
-        scales.insert("large".to_string(), 52);
-        let text = render(&panic, &casts, &syncs, &scales);
+        let text = render(&panic, &casts, &syncs);
         let parsed = parse(&text).expect("rendered file must parse");
         assert_eq!(
             parsed["core"],
@@ -434,8 +310,6 @@ mod tests {
                 sync: sync(2, 3),
             }
         );
-        let parsed_scales = parse_scales(&text).expect("rendered scales must parse");
-        assert_eq!(parsed_scales, scales);
     }
 
     #[test]
@@ -448,32 +322,11 @@ mod tests {
     #[test]
     fn parse_rejects_malformed_input() {
         assert!(parse("[notcrate.core]\n").is_err());
+        assert!(parse("[scale.small]\n").is_err(), "no scale sections");
         assert!(parse("unwrap = 3\n").is_err(), "key before any section");
         assert!(parse("[crate.a]\nunwrap = x\n").is_err());
         assert!(parse("[crate.a]\nwibble = 3\n").is_err());
         assert!(parse("[crate.a]\n[crate.a]\n").is_err(), "duplicate crate");
-    }
-
-    #[test]
-    fn parse_skips_scale_sections_and_vice_versa() {
-        let text = "[crate.a]\nunwrap = 1\n\n[scale.small]\nrouting-bytes-per-terminal = 135\n";
-        let crates = parse(text).expect("crate parse must tolerate scale sections");
-        assert_eq!(crates.len(), 1);
-        assert_eq!(crates["a"].panic.unwrap, 1);
-        let scales = parse_scales(text).expect("scale parse must tolerate crate sections");
-        assert_eq!(scales.len(), 1);
-        assert_eq!(scales["small"], 135);
-    }
-
-    #[test]
-    fn parse_scales_rejects_malformed_input() {
-        assert!(parse_scales("[notcrate.x]\n").is_err());
-        assert!(
-            parse_scales("[scale.s]\nwibble = 3\n").is_err(),
-            "unknown key"
-        );
-        assert!(parse_scales("[scale.s]\nrouting-bytes-per-terminal = x\n").is_err());
-        assert!(parse_scales("[scale.s]\n[scale.s]\n").is_err(), "duplicate");
     }
 
     #[test]
@@ -514,29 +367,6 @@ mod tests {
             .any(|f| f.contains("lossy-cast count rose to 6")));
         assert_eq!(improvements.len(), 1);
         assert!(improvements[0].contains("lossy-cast count is 1"));
-    }
-
-    #[test]
-    fn compare_scales_flags_regressions_and_improvements() {
-        let mut base = BTreeMap::new();
-        base.insert("small".to_string(), 135);
-        base.insert("medium".to_string(), 96);
-        base.insert("gone".to_string(), 1);
-        let mut measured = BTreeMap::new();
-        measured.insert("small".to_string(), 140);
-        measured.insert("medium".to_string(), 90);
-        measured.insert("large".to_string(), 52);
-        let (failures, improvements) = compare_scales(&base, &measured);
-        assert_eq!(failures.len(), 3, "{failures:?}");
-        assert!(failures
-            .iter()
-            .any(|f| f.contains("routing-bytes-per-terminal rose to 140")));
-        assert!(failures.iter().any(|f| f.contains("missing from")));
-        assert!(failures
-            .iter()
-            .any(|f| f.contains("BENCH_sim.json does not report")));
-        assert_eq!(improvements.len(), 1);
-        assert!(improvements[0].contains("routing-bytes-per-terminal is 90"));
     }
 
     #[test]

@@ -25,11 +25,6 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 /// File name of the committed panic-surface baseline, at the repo root.
 pub const RATCHET_FILE: &str = "xtask-ratchet.toml";
 
-/// File name of the committed engine benchmark, at the repo root. Its
-/// per-scale `routing_bytes_per_terminal` entries feed the
-/// routing-memory ratchet (`[scale.*]` in [`RATCHET_FILE`]).
-pub const BENCH_FILE: &str = "BENCH_sim.json";
-
 /// Code-line budget for bench binaries: every bin except
 /// [`THIN_BIN_EXEMPT`] must stay a thin shim over the experiment
 /// registry (`rfc_bench::run_registry(...)`), so experiment parameters
@@ -216,11 +211,6 @@ pub struct LintReport {
     /// Measured non-test sync-primitive tallies per crate (ratcheted by
     /// `cargo xtask conc`; measured here for the same reason).
     pub sync_counts: BTreeMap<String, SyncCounts>,
-    /// Per-scale `routing_bytes_per_terminal` read from the committed
-    /// `BENCH_sim.json` (empty when the tree has no benchmark file, as
-    /// in fixture workspaces). Ratcheted against the `[scale.*]`
-    /// sections of `xtask-ratchet.toml`.
-    pub scale_bytes: BTreeMap<String, usize>,
     /// Counts now below the committed baseline (nudges, not failures).
     pub improvements: Vec<String>,
 }
@@ -328,30 +318,19 @@ pub fn run_lint(root: &Path, write_ratchet: bool) -> Result<LintReport, String> 
         report.sync_counts.insert(krate.name.clone(), crate_sync);
     }
 
-    // Panic-surface and routing-memory ratchets.
-    report.scale_bytes = bench_scale_bytes(root)?;
+    // Panic-surface ratchet.
     let ratchet_path = root.join(RATCHET_FILE);
     if write_ratchet {
         fs::write(
             &ratchet_path,
-            ratchet::render(
-                &report.counts,
-                &report.cast_counts,
-                &report.sync_counts,
-                &report.scale_bytes,
-            ),
+            ratchet::render(&report.counts, &report.cast_counts, &report.sync_counts),
         )
         .map_err(|e| format!("{}: {e}", ratchet_path.display()))?;
     } else {
         match fs::read_to_string(&ratchet_path) {
             Ok(text) => {
                 let baseline = ratchet::parse(&text)?;
-                let (mut failures, mut improvements) = ratchet::compare(&baseline, &report.counts);
-                let scale_baseline = ratchet::parse_scales(&text)?;
-                let (scale_failures, scale_improvements) =
-                    ratchet::compare_scales(&scale_baseline, &report.scale_bytes);
-                failures.extend(scale_failures);
-                improvements.extend(scale_improvements);
+                let (failures, improvements) = ratchet::compare(&baseline, &report.counts);
                 for f in failures {
                     report.violations.push((
                         RATCHET_FILE.to_string(),
@@ -384,54 +363,6 @@ pub fn run_lint(root: &Path, write_ratchet: bool) -> Result<LintReport, String> 
         .violations
         .sort_by(|a, b| (&a.0, a.1.line).cmp(&(&b.0, b.1.line)));
     Ok(report)
-}
-
-/// Reads the per-scale `routing_bytes_per_terminal` values out of the
-/// committed [`BENCH_FILE`], keyed by scale name. A missing file yields
-/// an empty map (fixture workspaces carry no benchmark); an unreadable
-/// or structurally surprising file is an error, because a silently
-/// skipped ratchet is worse than a loud one.
-///
-/// Line-based on the benchmark's fixed rendering (one key per line),
-/// like every other parser in this crate: the scale name is the last
-/// `"name": {` object-open seen before the key line.
-pub fn bench_scale_bytes(root: &Path) -> Result<BTreeMap<String, usize>, String> {
-    let path = root.join(BENCH_FILE);
-    let text = match fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(BTreeMap::new()),
-        Err(e) => return Err(format!("{}: {e}", path.display())),
-    };
-    let mut scales = BTreeMap::new();
-    let mut current: Option<String> = None;
-    for line in text.lines() {
-        let line = line.trim();
-        if let Some(name) = line
-            .strip_suffix('{')
-            .and_then(|l| l.trim_end().strip_suffix(':'))
-        {
-            current = name
-                .trim()
-                .strip_prefix('"')
-                .and_then(|n| n.strip_suffix('"'))
-                .map(str::to_string);
-        } else if let Some(rest) = line.strip_prefix("\"routing_bytes_per_terminal\":") {
-            let scale = current.clone().ok_or_else(|| {
-                format!("{BENCH_FILE}: routing_bytes_per_terminal outside a scale object")
-            })?;
-            let bytes: usize = rest
-                .trim()
-                .trim_end_matches(',')
-                .parse()
-                .map_err(|e| format!("{BENCH_FILE}: scale `{scale}`: {e}"))?;
-            if scales.insert(scale.clone(), bytes).is_some() {
-                return Err(format!(
-                    "{BENCH_FILE}: duplicate routing_bytes_per_terminal for scale `{scale}`"
-                ));
-            }
-        }
-    }
-    Ok(scales)
 }
 
 /// Counts the lines of a source file that carry code: non-blank and not

@@ -44,12 +44,7 @@ fn committed_ratchet_matches_write_ratchet_output() {
     let root = repo_root();
     let lint = xtask::run_lint(&root, false).expect("lint must run on the real tree");
     let audit = run_audit(&root).expect("audit must run on the real tree");
-    let rendered = xtask::ratchet::render(
-        &lint.counts,
-        &audit.cast_counts,
-        &lint.sync_counts,
-        &lint.scale_bytes,
-    );
+    let rendered = xtask::ratchet::render(&lint.counts, &audit.cast_counts, &lint.sync_counts);
     let committed = fs::read_to_string(root.join("xtask-ratchet.toml"))
         .expect("the ratchet baseline is committed");
     assert_eq!(
