@@ -45,9 +45,16 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+/// A parameter no topology of the kind can have (odd radix, an OFT
+/// order that is not a prime power) is a bad flag, like one that does
+/// not parse; a failed generation or a wrong-kind operation is not.
 impl From<rfc_net::topology::TopologyError> for CliError {
     fn from(e: rfc_net::topology::TopologyError) -> Self {
-        CliError::Operation(e.to_string())
+        use rfc_net::topology::TopologyError as E;
+        match e {
+            E::InvalidParameter { .. } | E::Field(_) => CliError::Usage(e.to_string()),
+            _ => CliError::Operation(e.to_string()),
+        }
     }
 }
 

@@ -1,5 +1,6 @@
-//! Exit codes of the `rfcgen` binary: invalid simulation flags are
-//! usage errors (exit 2), never panics (exit 101) or silent no-op runs.
+//! Exit codes of the `rfcgen` binary: invalid simulation flags and
+//! impossible topology parameters are usage errors (exit 2), never
+//! panics (exit 101) or silent no-op runs; a failed operation exits 1.
 
 use std::process::Command;
 
@@ -98,4 +99,55 @@ fn repro_rejects_zero_cycles_before_running_anything() {
         );
     }
     assert!(!dir.exists(), "a rejected repro must write nothing");
+}
+
+/// Runs `rfcgen generate` with exactly `args`; returns the exit code
+/// and stderr.
+fn generate(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_rfcgen"))
+        .arg("generate")
+        .args(args)
+        .output()
+        .expect("rfcgen runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn invalid_topology_parameters_exit_with_the_usage_code() {
+    // A value that parses but no topology of the kind can have is as
+    // much a bad flag as one that does not parse.
+    let cases: [&[&str]; 4] = [
+        &["--kind", "cft", "--radix", "abc", "--levels", "3"],
+        &["--kind", "cft", "--radix", "7", "--levels", "3"],
+        &[
+            "--kind", "rfc", "--radix", "4", "--leaves", "3", "--levels", "2",
+        ],
+        &["--kind", "oft", "--order", "6", "--levels", "3"],
+    ];
+    for args in cases {
+        let (code, stderr) = generate(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage error: "), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn failed_generation_exits_with_the_operation_code() {
+    // Valid flags whose random graph cannot exist (5 switches of odd
+    // degree 3): the generator fails, not the command line.
+    let (code, stderr) = generate(&[
+        "--kind",
+        "rrn",
+        "--switches",
+        "5",
+        "--degree",
+        "3",
+        "--hosts",
+        "1",
+    ]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("stage generation failed"), "{stderr}");
 }

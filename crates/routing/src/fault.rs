@@ -8,15 +8,17 @@
 //! (positive `x`) buys tolerance — scalability traded for
 //! fault-tolerance.
 //!
-//! The binary search runs on the incremental repair path: a
-//! [`LiveClos`] overlay and one [`UpDownRouting`] table are *seeked*
-//! through the shuffled removal prefix by applying/reverting link
-//! events ([`UpDownRouting::apply_event`]), instead of cloning the
-//! topology and rebuilding the table from scratch at every probe. The
-//! repaired table is byte-identical to a fresh build at every prefix,
-//! so trial results are unchanged.
-
-use std::collections::BTreeMap;
+//! A trial is one forward scan over the shuffled link list: each link
+//! fails on a [`LiveClos`] overlay, one [`UpDownRouting`] table repairs
+//! incrementally ([`UpDownRouting::apply_event`]), and the scan stops at
+//! the first removal that breaks the property. Removing links only
+//! removes ancestors, so the property is monotone in the removal prefix
+//! and the first failing prefix is one past the largest tolerated one.
+//! A trial with answer `t` therefore runs at most `t + 1` repairs and
+//! no recover events; a network that lacks the property after its
+//! first removal (every OFT) stops after one. The repaired table is
+//! byte-identical to a fresh build at every prefix, so the answer is
+//! the one a clone-and-rebuild search finds.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -46,107 +48,42 @@ impl ToleranceTrial {
     }
 }
 
-/// A live network plus routing table positioned at some removal prefix
-/// of a shuffled link list, moved by incremental link events.
-///
-/// `down_count` tracks multiplicity: the link list enumerates parallel
-/// copies individually, but a single fail event removes them all
-/// (matching [`FoldedClos::with_links_removed`] on the prefix), so the
-/// fail fires when the first copy enters the prefix and the recover
-/// when the last copy leaves it.
-struct PrefixSeeker {
-    live: LiveClos,
-    routing: UpDownRouting,
-    down_count: BTreeMap<Link, usize>,
-    applied: usize,
-}
-
-impl PrefixSeeker {
-    fn new(clos: &FoldedClos, routing: UpDownRouting) -> Self {
-        PrefixSeeker {
-            live: LiveClos::new(clos),
-            routing,
-            down_count: BTreeMap::new(),
-            applied: 0,
-        }
-    }
-
-    /// Moves the removal prefix to `links[..target]`, applying fail
-    /// events forward or recover events backward (in reverse order).
-    fn seek(&mut self, links: &[Link], target: usize) {
-        while self.applied < target {
-            let l = links[self.applied];
-            let c = self.down_count.entry(l).or_insert(0);
-            *c += 1;
-            if *c == 1 {
-                let ev = LinkEvent::fail(l);
-                if self.live.apply(&ev) {
-                    self.routing.apply_event(self.live.current(), &ev);
-                }
-            }
-            self.applied += 1;
-        }
-        while self.applied > target {
-            self.applied -= 1;
-            let l = links[self.applied];
-            let mut gone = false;
-            if let Some(c) = self.down_count.get_mut(&l) {
-                *c -= 1;
-                gone = *c == 0;
-            }
-            if gone {
-                self.down_count.remove(&l);
-                let ev = LinkEvent::recover(l);
-                if self.live.apply(&ev) {
-                    self.routing.apply_event(self.live.current(), &ev);
-                }
-            }
-        }
-    }
-
-    /// Whether the up/down property holds with `links[..k]` removed.
-    fn holds(&mut self, links: &[Link], k: usize) -> bool {
-        self.seek(links, k);
-        self.routing.has_updown_property()
-    }
-}
-
-/// Runs one tolerance trial: shuffles the link list and binary-searches
-/// the largest removal prefix preserving the up/down property (which is
-/// monotone in the removal prefix).
+/// Runs one tolerance trial: shuffles the link list and finds the
+/// largest removal prefix preserving the up/down property.
 pub fn updown_tolerance_trial<R: Rng + ?Sized>(clos: &FoldedClos, rng: &mut R) -> ToleranceTrial {
     let mut links: Vec<Link> = clos.links();
-    let total = links.len();
     links.shuffle(rng);
-    let routing = UpDownRouting::new(clos);
+    ToleranceTrial {
+        tolerated: scan_removals(clos, &links).0,
+        total_links: links.len(),
+    }
+}
+
+/// Fails `links` in order until the up/down property breaks. Returns
+/// the largest prefix length that keeps the property and the number of
+/// incremental repairs run. The link list enumerates parallel copies
+/// individually, but one fail event removes them all (as
+/// [`FoldedClos::with_links_removed`] does), so a later copy is a no-op
+/// that leaves the property as it was.
+fn scan_removals(clos: &FoldedClos, links: &[Link]) -> (usize, usize) {
+    let mut routing = UpDownRouting::new(clos);
     if !routing.has_updown_property() {
-        return ToleranceTrial {
-            tolerated: 0,
-            total_links: total,
-        };
+        return (0, 0);
     }
-    let mut seeker = PrefixSeeker::new(clos, routing);
-    // property(k) = up/down holds with the first k links removed.
-    // property(0) = true; find the largest k with property(k).
-    if seeker.holds(&links, total) {
-        return ToleranceTrial {
-            tolerated: total,
-            total_links: total,
-        };
-    }
-    let (mut lo, mut hi) = (0usize, total); // holds(lo), !holds(hi)
-    while hi - lo > 1 {
-        let mid = (lo + hi) / 2;
-        if seeker.holds(&links, mid) {
-            lo = mid;
-        } else {
-            hi = mid;
+    let mut live = LiveClos::new(clos);
+    let mut repairs = 0;
+    for (k, &link) in links.iter().enumerate() {
+        let ev = LinkEvent::fail(link);
+        if !live.apply(&ev) {
+            continue;
+        }
+        routing.apply_event(live.current(), &ev);
+        repairs += 1;
+        if !routing.has_updown_property() {
+            return (k, repairs);
         }
     }
-    ToleranceTrial {
-        tolerated: lo,
-        total_links: total,
-    }
+    (links.len(), repairs)
 }
 
 /// Mean tolerated fraction over `trials` random removal orders.
@@ -170,6 +107,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeSet;
 
     #[test]
     fn cft_tolerates_some_faults() {
@@ -217,10 +155,64 @@ mod tests {
         assert_eq!(mean_updown_tolerance(&net, 3, &mut rng), 0.0);
     }
 
+    /// `clos` with one link rewired into a parallel copy of another:
+    /// `(a, u)` and `(b, v)` become `(a, v)` and `(b, u)`, where `(a, v)`
+    /// already exists. Every switch keeps its degree.
+    fn with_parallel_copy(clos: &FoldedClos) -> FoldedClos {
+        let mut links = clos.links();
+        let Link { lower: a, upper: v } = links[0];
+        let au = links
+            .iter()
+            .position(|l| l.lower == a && l.upper != v)
+            .unwrap();
+        let bv = links
+            .iter()
+            .position(|l| l.upper == v && l.lower != a)
+            .unwrap();
+        let u = links[au].upper;
+        links[au].upper = v;
+        links[bv].upper = u;
+        let sizes: Vec<usize> = (0..clos.num_levels()).map(|l| clos.level_size(l)).collect();
+        FoldedClos::from_links(
+            clos.kind(),
+            clos.radix(),
+            clos.terminals_per_leaf(),
+            &sizes,
+            &links,
+        )
+        .unwrap()
+    }
+
+    /// Networks covering every shape a trial meets: unique up/down paths
+    /// (OFTs), ECMP (a CFT), a random Clos above and one below the
+    /// threshold, and a link list holding a parallel copy.
+    fn trial_nets() -> Vec<FoldedClos> {
+        let rfc = FoldedClos::random(8, 24, 3, &mut StdRng::seed_from_u64(5)).unwrap();
+        let doubled = with_parallel_copy(&rfc);
+        let mut links = doubled.links();
+        let listed = links.len();
+        links.sort_unstable();
+        links.dedup();
+        assert!(
+            links.len() < listed,
+            "the rewired RFC lists a parallel copy"
+        );
+        vec![
+            FoldedClos::oft(3, 2).unwrap(),
+            FoldedClos::oft(2, 3).unwrap(),
+            FoldedClos::cft(6, 3).unwrap(),
+            rfc,
+            FoldedClos::random(4, 64, 2, &mut StdRng::seed_from_u64(4)).unwrap(),
+            doubled,
+        ]
+    }
+
     #[test]
     fn incremental_search_matches_full_rebuild_reference() {
-        // The seeked trial must agree with the original clone-and-rebuild
-        // formulation probe for probe (same shuffle, same midpoints).
+        // The forward scan must agree with the original clone-and-rebuild
+        // bisection on the same shuffle: the property is monotone in the
+        // removal prefix, so the first failing prefix is one past the
+        // largest holding one.
         let reference = |clos: &FoldedClos, rng: &mut StdRng| -> ToleranceTrial {
             let mut links: Vec<Link> = clos.links();
             let total = links.len();
@@ -255,19 +247,63 @@ mod tests {
                 total_links: total,
             }
         };
-        let mut rng_a = StdRng::seed_from_u64(77);
-        let mut rng_b = StdRng::seed_from_u64(77);
-        let nets = [
-            FoldedClos::cft(6, 3).unwrap(),
-            FoldedClos::random(8, 24, 3, &mut StdRng::seed_from_u64(5)).unwrap(),
-        ];
-        for net in &nets {
-            for _ in 0..3 {
+        for net in &trial_nets() {
+            for seed in 0..5 {
+                let trial = updown_tolerance_trial(net, &mut StdRng::seed_from_u64(seed));
                 assert_eq!(
-                    updown_tolerance_trial(net, &mut rng_a),
-                    reference(net, &mut rng_b)
+                    trial,
+                    reference(net, &mut StdRng::seed_from_u64(seed)),
+                    "{:?} seed {seed}",
+                    net.kind()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_trial_repairs_at_most_once_past_its_answer() {
+        // Every distinct link of the scanned prefix costs one repair; a
+        // parallel copy of a link already failed costs none.
+        let check = |net: &FoldedClos, links: &[Link]| -> usize {
+            let (tolerated, repairs) = scan_removals(net, links);
+            assert!(
+                repairs <= tolerated + 1,
+                "{tolerated} tolerated, {repairs} repairs"
+            );
+            let scanned = if UpDownRouting::new(net).has_updown_property() {
+                (tolerated + 1).min(links.len())
+            } else {
+                0
+            };
+            let distinct: BTreeSet<&Link> = links[..scanned].iter().collect();
+            assert_eq!(repairs, distinct.len(), "{tolerated} tolerated");
+            tolerated
+        };
+        let nets = trial_nets();
+        for net in &nets {
+            for seed in 0..5 {
+                let mut links = net.links();
+                links.shuffle(&mut StdRng::seed_from_u64(seed));
+                check(net, &links);
+            }
+        }
+        // Both copies of the doubled link first: the second is skipped.
+        let doubled = &nets[nets.len() - 1];
+        let mut links = doubled.links();
+        let twin = links[(1..links.len())
+            .find(|&i| links[..i].contains(&links[i]))
+            .unwrap()];
+        links.retain(|&l| l != twin);
+        links.splice(0..0, [twin, twin]);
+        assert!(check(doubled, &links) >= 2, "the copy was reached");
+        // An OFT loses the property on its first removal: one repair.
+        for net in [
+            FoldedClos::oft(3, 2).unwrap(),
+            FoldedClos::oft(4, 3).unwrap(),
+        ] {
+            let mut links = net.links();
+            links.shuffle(&mut StdRng::seed_from_u64(1));
+            assert_eq!(scan_removals(&net, &links), (0, 1));
         }
     }
 }

@@ -157,8 +157,23 @@ pub struct ChurnResult {
     pub events_applied: usize,
 }
 
-/// Per-shard replica of the dynamic routing state, with the epoch
-/// bookkeeping its shard records at cycle boundaries.
+/// What a replica records over a run: delivery snapshots at epoch
+/// boundaries and, after each applied event, the up/down property.
+struct ReplicaLog {
+    /// `delivered` snapshots at epoch boundaries, then at the end.
+    marks: Vec<u64>,
+    /// Whether the property holds on the current topology.
+    ok: bool,
+    /// Cycle of the last applied event (0 before any).
+    changed_at: u64,
+    /// Cycles before `changed_at` during which the property held.
+    ok_cycles: u64,
+    /// Events that changed the topology.
+    applied: usize,
+}
+
+/// Per-shard replica of the dynamic routing state, with the epoch and
+/// availability bookkeeping its shard records at cycle boundaries.
 struct DynState<'s> {
     live: LiveClos,
     routing: UpDownRouting,
@@ -171,8 +186,7 @@ struct DynState<'s> {
     next_event: usize,
     epoch_len: u64,
     epochs: u64,
-    /// `delivered` snapshots at epoch boundaries.
-    marks: Vec<u64>,
+    log: ReplicaLog,
 }
 
 impl<'s> DynState<'s> {
@@ -193,14 +207,21 @@ impl<'s> DynState<'s> {
             next_event: 0,
             epoch_len,
             epochs,
-            marks: Vec::new(),
+            log: ReplicaLog {
+                marks: Vec::new(),
+                ok: sim.oracle().has_updown_property(),
+                changed_at: 0,
+                ok_cycles: 0,
+                applied: 0,
+            },
         }
     }
 
     /// Applies every event due at or before `now`: the topology overlay
     /// flips, the routing table repairs incrementally, and the
     /// candidate table patches over the repair's dirty region — all
-    /// byte-identical to a from-scratch rebuild on the new topology.
+    /// byte-identical to a from-scratch rebuild on the new topology —
+    /// then records whether the up/down property still holds.
     ///
     /// Returns whether any event changed the topology. The caller must
     /// then drop its shard's head summaries: a patch renumbers the
@@ -219,6 +240,13 @@ impl<'s> DynState<'s> {
                 self.candidates =
                     self.candidates
                         .patched(self.net, &self.routing, &scope, self.budget);
+                let log = &mut self.log;
+                if log.ok {
+                    log.ok_cycles += cycle - log.changed_at;
+                }
+                log.changed_at = *cycle;
+                log.applied += 1;
+                log.ok = self.routing.has_updown_property();
             }
         }
         applied
@@ -226,7 +254,7 @@ impl<'s> DynState<'s> {
 }
 
 impl ShardRoutes<UpDownRouting> for DynState<'_> {
-    type Out = Vec<u64>;
+    type Out = ReplicaLog;
 
     fn routes(&self) -> (&Candidates, &UpDownRouting) {
         (&self.candidates, &self.routing)
@@ -240,52 +268,14 @@ impl ShardRoutes<UpDownRouting> for DynState<'_> {
             st.head_route.fill(HEAD_NONE);
         }
         if now > 0 && now.is_multiple_of(self.epoch_len) && now / self.epoch_len < self.epochs {
-            self.marks.push(st.delivered);
+            self.log.marks.push(st.delivered);
         }
     }
 
-    fn finish(mut self, st: &ShardState) -> Vec<u64> {
-        self.marks.push(st.delivered);
-        self.marks
+    fn finish(mut self, st: &ShardState) -> ReplicaLog {
+        self.log.marks.push(st.delivered);
+        self.log
     }
-}
-
-/// Replays `schedule` against a standalone overlay, measuring the
-/// fraction of `[0, end)` cycles during which the up/down property
-/// holds, plus the number of events that changed the topology.
-fn availability_scan(
-    clos: &FoldedClos,
-    routing: &UpDownRouting,
-    schedule: &FaultSchedule,
-    end: u64,
-) -> (f64, usize) {
-    if end == 0 {
-        return (1.0, 0);
-    }
-    let mut live = LiveClos::new(clos);
-    let mut routing = routing.clone();
-    let mut ok = routing.has_updown_property();
-    let mut ok_cycles = 0u64;
-    let mut prev = 0u64;
-    let mut applied = 0usize;
-    for (cycle, ev) in &schedule.events {
-        if *cycle >= end {
-            break;
-        }
-        if ok {
-            ok_cycles += cycle - prev;
-        }
-        prev = *cycle;
-        if live.apply(ev) {
-            routing.apply_event(live.current(), ev);
-            applied += 1;
-            ok = routing.has_updown_property();
-        }
-    }
-    if ok {
-        ok_cycles += end - prev;
-    }
-    (ok_cycles as f64 / end as f64, applied)
 }
 
 impl<'a> Simulation<'a, UpDownRouting> {
@@ -314,17 +304,16 @@ impl<'a> Simulation<'a, UpDownRouting> {
         let end = cfg.total_cycles();
         let epochs = epochs.clamp(1, (end.max(1)) as usize);
         let epoch_len = (end / epochs as u64).max(1);
-        let (result, marks_per_shard) =
-            self.drive(pattern, offered_load, seed, shards, scratch, || {
-                DynState::new(self, clos, schedule, epoch_len, epochs as u64)
-            });
+        let (result, logs) = self.drive(pattern, offered_load, seed, shards, scratch, || {
+            DynState::new(self, clos, schedule, epoch_len, epochs as u64)
+        });
 
         // Per-epoch accepted load from the merged delivery snapshots.
         let mut epoch_accepted = Vec::with_capacity(epochs);
         let mut prev_total = 0u64;
-        let marks = marks_per_shard[0].len();
+        let marks = logs[0].marks.len();
         for e in 0..marks {
-            let total: u64 = marks_per_shard.iter().map(|m| m[e]).sum();
+            let total: u64 = logs.iter().map(|l| l.marks[e]).sum();
             let cycles = if e + 1 == marks {
                 end - epoch_len * e as u64
             } else {
@@ -337,12 +326,19 @@ impl<'a> Simulation<'a, UpDownRouting> {
             prev_total = total;
         }
 
-        let (availability, events_applied) = availability_scan(clos, self.oracle(), schedule, end);
+        // Every replica applied the same events; replica 0 speaks for all.
+        let log = &logs[0];
+        let availability = if end == 0 {
+            1.0
+        } else {
+            let tail = if log.ok { end - log.changed_at } else { 0 };
+            (log.ok_cycles + tail) as f64 / end as f64
+        };
         ChurnResult {
             result,
             epoch_accepted,
             availability,
-            events_applied,
+            events_applied: log.applied,
         }
     }
 }
@@ -674,20 +670,36 @@ mod tests {
     fn availability_reflects_property_loss_and_recovery() {
         // A 2-level OFT loses the up/down property on its first link
         // failure; fail at 100, recover at 300, over 1000 cycles =>
-        // availability 0.8 exactly.
+        // availability 0.8 exactly, at any shard count.
         let clos = FoldedClos::oft(3, 2).unwrap();
         let routing = UpDownRouting::new(&clos);
+        let net = SimNetwork::from_folded_clos(&clos);
+        let mut cfg = churn_cfg();
+        cfg.measure_cycles = 1_000;
+        let sim = Simulation::new(&net, &routing, cfg);
         let link = clos.links()[0];
         let schedule = FaultSchedule::new(vec![
             (100, LinkEvent::fail(link)),
             (300, LinkEvent::recover(link)),
         ]);
-        let (availability, applied) = availability_scan(&clos, &routing, &schedule, 1_000);
-        assert_eq!(applied, 2);
-        assert!(
-            (availability - 0.8).abs() < 1e-12,
-            "availability {availability}"
-        );
+        for shards in [1usize, 2] {
+            let churn = sim.run_churn_sharded_scratch(
+                &clos,
+                &schedule,
+                TrafficPattern::Uniform,
+                0.3,
+                1,
+                1,
+                shards,
+                &mut RunScratch::new(),
+            );
+            assert_eq!(churn.events_applied, 2);
+            assert!(
+                (churn.availability - 0.8).abs() < 1e-12,
+                "availability {}",
+                churn.availability
+            );
+        }
     }
 
     #[test]
